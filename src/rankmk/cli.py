@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: demo, encode, corrupt, decode, simulate, bound, bench.
+Subcommands: demo, encode, corrupt, decode, simulate, bound.
 Stdout carries data (matrices, CSV, status lines); stderr carries
 diagnostics.  Exit codes: 0 success, 2 decode failure, 3 format error,
 4 parameter error.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from . import demo as demo_mod
@@ -151,30 +150,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    """Non-gating wall-time report for a few decode shapes."""
-    from .decoder import decode
-    from .simulate import rand_matrix
-
-    shapes = [(2, 5, 5, 2, 2, 2), (2, 8, 8, 2, 3, 3), (2, 10, 10, 2, 7, 7)]
-    for q, m, n, k, ell, t in shapes:
-        ctx = ExtField(q, m)
-        gab = GabidulinSpec(ctx, tuple(ctx.alpha_pow(i) for i in range(n)), k)
-        code = resolve_code(gab)
-        rng = trial_rng(args.seed, 0)
-        total = 0.0
-        reps = args.reps
-        for _ in range(reps):
-            msg = rand_matrix(rng, ctx, ell, k)
-            err, _, _ = sample_error(rng, ctx, ell, n, t, "fullrank")
-            word = (msg @ code.gen).add(err)
-            start = time.perf_counter()
-            decode(code.h, word, code.d)
-            total += time.perf_counter() - start
-        print(f"decode q={q} m={m} n={n} k={k} ell={ell} t={t}: {1e3 * total / reps:.3f} ms/word")
-    return EXIT_OK
-
-
 # -- parser ------------------------------------------------------------------------
 
 
@@ -232,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("bench", help="non-gating decode wall-time report")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=20)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

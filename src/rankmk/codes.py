@@ -115,8 +115,7 @@ def parity_check_from_generator(gen: MatQm) -> MatQm:
             row[p] = neg(reduced.data[r][f])
         row[f] = 1
         rows.append(row)
-    h = MatQm(ctx, rows, n) if rows else MatQm(ctx, [], n)
-    h = rref(h)[0]
+    h = rref(MatQm._wrap(ctx, rows, n))[0]
     if not (h @ gen.transpose()).is_zero():
         raise ParameterError("internal: parity-check construction failed")
     return h
@@ -156,7 +155,7 @@ def min_rank_distance_exhaustive(spec: GabidulinSpec | LinearCodeSpec) -> int:
         for _ in range(k):
             v, r = divmod(v, order)
             msg.append(r)
-        w = rank_q(MatQm(ctx, [msg], k) @ gen)
+        w = rank_q(MatQm._wrap(ctx, [msg], k) @ gen)
         if best is None or w < best:
             best = w
             if best == 1:

@@ -106,7 +106,7 @@ def recover_support(h: MatQm, synd: MatQm) -> SupportRecovery:
 
 def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
     """Coefficient matrix A solving (H @ B^T) @ A^T = S, given a support basis B."""
-    coeff = h @ MatQm(basis.ctx, basis.data, basis.cols).transpose()
+    coeff = h @ basis.transpose()
     try:
         return solve_right(coeff, synd)
     except RankDeficientError as exc:
@@ -135,8 +135,7 @@ def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
         beyond = d is not None and t_hat > d - 2
         return DecodeOutcome.failed(failure.reason, t_hat, beyond)
     beyond = d is not None and t_hat > d - 2
-    b_full = MatQm(h.ctx, support.basis.data, support.basis.cols)
-    e_hat = a_hat @ b_full
+    e_hat = a_hat @ support.basis
     c_hat = received.sub(e_hat)
     if not (h @ c_hat.transpose()).is_zero() or rank_q(e_hat) != t_hat:
         return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond)
@@ -171,22 +170,16 @@ def beyond_d2_condition(h: MatQm, basis: MatQ) -> bool:
     if size > 4_000_000:
         raise ParameterError("expanded membership system exceeds the size guard")
     # Left block: b |-> coordinates of H b^T. Right block: x |-> -(H B^T) x,
-    # with x expressed by its t*m subfield coordinates.
-    left = ext_expand(h)
-    coeff = h @ MatQm(ctx, basis.data, basis.cols).transpose()
-    cols = []
-    for j in range(t):
-        col = coeff.col(j)
-        for r in range(ctx.m):
-            scaled = [ctx.neg(ctx.mul(a, ctx.pow(ctx.alpha, r))) for a in col]
-            cols.append([digit for a in scaled for digit in ctx.as_vector(a)])
-    joint_rows = [list(row) + [c[i] for c in cols] for i, row in enumerate(left.data)]
-    joint = MatQ(ctx, joint_rows, n + t * ctx.m)
+    # with x expressed by its t*m subfield coordinates, so its column j*m + r
+    # is -(H B^T)_j alpha^r.  Expansion is row-wise: expand [H | that] at once.
+    powers = [ctx.pow(ctx.alpha, r) for r in range(ctx.m)]
+    coeff = h @ basis.transpose()
+    scaled = [[ctx.neg(ctx.mul(a, p)) for a in row for p in powers] for row in coeff.data]
+    joint = ext_expand(h.hstack(MatQm._wrap(ctx, scaled, t * ctx.m)))
     kernel = right_kernel_q(joint)
     if kernel.rows == 0:
         return t == 0
-    projection = MatQ(ctx, [row[:n] for row in kernel.data], n)
-    return rank_q(projection) == t
+    return rank_q(kernel.submatrix(0, kernel.rows, 0, n)) == t
 
 
 def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -> DecodeOutcome:
@@ -211,17 +204,12 @@ def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -
     positions = [j for j in range(h_sub.cols) if all(row[j] == 0 for row in h_sub.data)]
     if len(positions) != t_hat:
         return DecodeOutcome.failed(FailureReason.SUPPORT_DIMENSION_MISMATCH, t_hat, beyond)
-    rows = []
-    for p in positions:
-        row = [0] * h.cols
-        row[p] = 1
-        rows.append(row)
-    basis = MatQ(ctx, rows, h.cols)
+    basis = MatQ._wrap(ctx, [[int(j == p) for j in range(h.cols)] for p in positions], h.cols)
     try:
         a_hat = erasure_decode(h, synd, basis)
     except DecodeFailure as failure:
         return DecodeOutcome.failed(failure.reason, t_hat, beyond)
-    e_hat = a_hat @ MatQm(ctx, basis.data, basis.cols)
+    e_hat = a_hat @ basis
     c_hat = received.sub(e_hat)
     nonzero_cols = [j for j in range(e_hat.cols) if any(row[j] for row in e_hat.data)]
     if not (h @ c_hat.transpose()).is_zero() or len(nonzero_cols) != t_hat:

@@ -138,6 +138,8 @@ class ExtField:
     """
 
     def __init__(self, q: int, m: int, modulus: Sequence[int] | None = None):
+        if q >= 2**31:  # keeps the trial-division primality test under 46k steps
+            raise ParameterError(f"base field size q={q} exceeds the supported bound 2^31")
         if not _is_prime(q):
             raise ParameterError(f"base field size q={q} must be prime")
         if m < 1:
@@ -364,11 +366,6 @@ class ExtField:
         except (KeyError, ValueError) as exc:
             raise FormatError(f"malformed field spec {text!r}") from exc
         return cls(q, m, coeffs)
-
-    @classmethod
-    def default(cls, q: int, m: int) -> "ExtField":
-        """Field with the shipped default polynomial for (q, m)."""
-        return cls(q, m)
 
     # -- identity -----------------------------------------------------------------
 

@@ -4,12 +4,15 @@ Two matrix types share one representation (row-major lists of int codes):
 `MatQm` holds entries anywhere in F_{q^m}; `MatQ` additionally guarantees
 every entry lies in the subfield F_q (code < q).  Because F_q is closed
 under the field operations, every algorithm below works verbatim on both
-types and preserves the subfield invariant, so results keep the type of
-their inputs.
+types and preserves the subfield invariant: a result is a `MatQ` iff all
+its operands are.
 
-Matrices are immutable by convention: no method mutates `data` after
-construction, and all operations return fresh objects, so values are safe
-to share across threads.
+Entries are validated only where data enters: the public `MatQm(...)` and
+`MatQ(...)` constructors (which also copy the caller's rows) and
+`mat_from_text`.  Algorithms build their results with the unchecked
+`_wrap`, which adopts freshly built rows as they are.  Results may share
+row lists with their operands; rows are never mutated after construction,
+so values are safe to share across threads.
 
 The textual format is: first line `q m rows cols`, then `rows` lines of
 `cols` decimal element codes separated by single spaces.
@@ -29,23 +32,17 @@ class MatQm:
     __slots__ = ("ctx", "rows", "cols", "data")
 
     def __init__(self, ctx: ExtField, data: Sequence[Sequence[int]], cols: int | None = None):
-        rows = list(data)
+        rows = [list(r) for r in data]
         if cols is None:
             if not rows:
                 raise FormatError("column count required for matrices with zero rows")
             cols = len(rows[0])
-        self.ctx = ctx
-        self.rows = len(rows)
-        self.cols = cols
-        packed = []
         for r in rows:
-            r = list(r)
             if len(r) != cols:
                 raise FormatError("ragged rows in matrix construction")
             for a in r:
                 self._check_entry(ctx, a)
-            packed.append(r)
-        self.data = packed
+        self.ctx, self.rows, self.cols, self.data = ctx, len(rows), cols, rows
 
     @staticmethod
     def _check_entry(ctx: ExtField, a: int) -> None:
@@ -55,45 +52,43 @@ class MatQm:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, ctx: ExtField, rows: list[list[int]], cols: int) -> "MatQm":
+        """Adopt freshly built rows as they are: no copy and no checks."""
+        mat = object.__new__(cls)
+        mat.ctx, mat.rows, mat.cols, mat.data = ctx, len(rows), cols, rows
+        return mat
+
+    @classmethod
     def zeros(cls, ctx: ExtField, rows: int, cols: int) -> "MatQm":
-        return cls(ctx, [[0] * cols for _ in range(rows)], cols)
+        return cls._wrap(ctx, [[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, ctx: ExtField, n: int) -> "MatQm":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def from_flat(cls, ctx: ExtField, rows: int, cols: int, entries: Sequence[int]) -> "MatQm":
-        if len(entries) != rows * cols:
-            raise FormatError(f"expected {rows * cols} entries, got {len(entries)}")
-        return cls(ctx, [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)], cols)
+        return cls._wrap(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     # -- structure --------------------------------------------------------------
-
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
 
     def col(self, j: int) -> list[int]:
         return [r[j] for r in self.data]
 
     def transpose(self) -> "MatQm":
-        return type(self)(self.ctx, [self.col(j) for j in range(self.cols)], self.rows)
+        data = [list(c) for c in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
+        return type(self)._wrap(self.ctx, data, self.rows)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "MatQm":
         """Rows r0:r1 and columns c0:c1 (half-open, like slices)."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise FormatError("submatrix range out of bounds")
-        return type(self)(self.ctx, [r[c0:c1] for r in self.data[r0:r1]], c1 - c0)
+        return type(self)._wrap(self.ctx, [r[c0:c1] for r in self.data[r0:r1]], c1 - c0)
 
     def hstack(self, other: "MatQm") -> "MatQm":
         self._conformable(other, rows=True)
-        cls = type(self) if isinstance(other, type(self)) else MatQm
-        return cls(self.ctx, [a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
+        cls = _result_type(self, other)
+        return cls._wrap(self.ctx, [a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
 
     def vstack(self, other: "MatQm") -> "MatQm":
         self._conformable(other, cols=True)
-        cls = type(self) if isinstance(other, type(self)) else MatQm
-        return cls(self.ctx, [list(r) for r in self.data] + [list(r) for r in other.data], self.cols)
+        return _result_type(self, other)._wrap(self.ctx, self.data + other.data, self.cols)
 
     def _conformable(self, other: "MatQm", rows: bool = False, cols: bool = False) -> None:
         if self.ctx != other.ctx:
@@ -129,27 +124,18 @@ class MatQm:
                         if b:
                             acc[j] = add(acc[j], mul(a, b))
             out.append(acc)
-        cls = MatQ if isinstance(self, MatQ) and isinstance(other, MatQ) else MatQm
-        return cls(self.ctx, out, ocols)
+        return _result_type(self, other)._wrap(ctx, out, ocols)
 
     def add(self, other: "MatQm") -> "MatQm":
-        self._conformable(other, rows=True, cols=True)
-        f = self.ctx.add
-        cls = type(self) if isinstance(other, type(self)) else MatQm
-        return cls(self.ctx, [[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)], self.cols)
+        return self._entrywise(other, self.ctx.add)
 
     def sub(self, other: "MatQm") -> "MatQm":
+        return self._entrywise(other, self.ctx.sub)
+
+    def _entrywise(self, other: "MatQm", f) -> "MatQm":
         self._conformable(other, rows=True, cols=True)
-        f = self.ctx.sub
-        cls = type(self) if isinstance(other, type(self)) else MatQm
-        return cls(self.ctx, [[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)], self.cols)
-
-    def scale(self, c: int) -> "MatQm":
-        mul = self.ctx.mul
-        return type(self)(self.ctx, [[mul(c, a) for a in r] for r in self.data], self.cols)
-
-    def map_entries(self, f) -> "MatQm":
-        return type(self)(self.ctx, [[f(a) for a in r] for r in self.data], self.cols)
+        data = [[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+        return _result_type(self, other)._wrap(self.ctx, data, self.cols)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.data for a in r)
@@ -188,6 +174,11 @@ class MatQ(MatQm):
             raise FormatError(f"subfield entry {a!r} out of range [0, {ctx.q})")
 
 
+def _result_type(a: MatQm, b: MatQm) -> type[MatQm]:
+    """A result is a `MatQ` iff both operands are: F_q is closed under +, -, *."""
+    return MatQ if isinstance(a, MatQ) and isinstance(b, MatQ) else MatQm
+
+
 def mat_from_text(text: str, ctx: ExtField | None = None, subfield: bool = False) -> MatQm:
     """Parse the matrix textual format; builds a default field if ctx is None."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -213,13 +204,7 @@ def mat_from_text(text: str, ctx: ExtField | None = None, subfield: bool = False
         except ValueError as exc:
             raise FormatError(f"malformed matrix row {ln!r}") from exc
         data.append(row)
-    cls = MatQ if subfield else MatQm
-    try:
-        return cls(ctx, data, cols)
-    except FormatError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise FormatError(str(exc)) from exc
+    return (MatQ if subfield else MatQm)(ctx, data, cols)
 
 
 # -- the coordinate-expansion map ----------------------------------------------------
@@ -232,12 +217,9 @@ def ext_expand(mat: MatQm) -> MatQ:
     one output row per basis element, constant coordinate first.
     """
     ctx = mat.ctx
-    out: list[list[int]] = []
-    for r in mat.data:
-        cols = [ctx.as_vector(a) for a in r]
-        for i in range(ctx.m):
-            out.append([c[i] for c in cols])
-    return MatQ(ctx, out, mat.cols)
+    q = ctx.q
+    weights = [q**i for i in range(ctx.m)]
+    return MatQ._wrap(ctx, [[a // w % q for a in r] for r in mat.data for w in weights], mat.cols)
 
 
 # -- echelon forms ----------------------------------------------------------------------
@@ -277,25 +259,27 @@ def rref(mat: MatQm) -> tuple[MatQm, list[int]]:
     """Reduced row echelon form and its pivot columns."""
     ctx = mat.ctx
     if ctx.q == 2 and isinstance(mat, MatQ):
-        out, pivots = _rref_gf2([list(r) for r in mat.data], mat.cols)
-        return type(mat)(ctx, out, mat.cols), pivots
-    work = [list(r) for r in mat.data]
-    pivots = _eliminate(ctx, work, mat.cols, None)
-    return type(mat)(ctx, work, mat.cols), pivots
+        out, pivots = _rref_gf2(mat.data, mat.cols)
+    else:
+        out = list(mat.data)
+        pivots = _eliminate(ctx, out, mat.cols, None)
+    return type(mat)._wrap(ctx, out, mat.cols), pivots
 
 
 def rref_with_transform(mat: MatQm) -> tuple[MatQm, MatQm]:
     """Invertible P with P @ mat = rref(mat); row operations mirrored on I."""
     ctx = mat.ctx
-    work = [list(r) for r in mat.data]
-    trans = [[1 if i == j else 0 for j in range(mat.rows)] for i in range(mat.rows)]
+    work = list(mat.data)
+    trans = MatQm.identity(ctx, mat.rows).data
     _eliminate(ctx, work, mat.cols, trans)
-    return MatQm(ctx, trans, mat.rows), type(mat)(ctx, work, mat.cols)
+    return MatQm._wrap(ctx, trans, mat.rows), type(mat)._wrap(ctx, work, mat.cols)
 
 
 def _eliminate(ctx: ExtField, work: list[list[int]], cols: int, trans: list[list[int]] | None) -> list[int]:
-    """In-place RREF; scans columns left to right, picks the topmost nonzero
-    pivot, normalizes it to 1 and clears the column above and below."""
+    """RREF in place on the row lists `work` and `trans`; scans columns left to
+    right, picks the topmost nonzero pivot, normalizes it to 1 and clears the
+    column above and below.  Rows are replaced, never mutated, so `work` may
+    hold rows shared with another matrix."""
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     nrows = len(work)
     pivots = []
@@ -360,14 +344,15 @@ def _kernel_basis(mat: MatQm) -> MatQm:
         for i, p in enumerate(pivots):
             v[p] = neg(reduced.data[i][f])
         rows.append(v)
-    basis = type(mat)(ctx, rows, mat.cols) if rows else type(mat)(ctx, [], mat.cols)
+    basis = type(mat)._wrap(ctx, rows, mat.cols)
     return rref(basis)[0] if rows else basis
 
 
 def right_kernel_qm(mat: MatQm) -> MatQm:
-    """Canonical (RREF) basis of {v in F_{q^m}^n : mat @ v^T = 0}."""
-    if isinstance(mat, MatQ):
-        mat = MatQm(mat.ctx, mat.data, mat.cols)
+    """Canonical (RREF) basis of {v in F_{q^m}^n : mat @ v^T = 0}.
+
+    A subfield matrix has a subfield kernel basis, returned as a `MatQ`.
+    """
     return _kernel_basis(mat)
 
 
@@ -395,12 +380,11 @@ def solve_right(coeff: MatQm, rhs: MatQm) -> MatQm:
     """
     coeff._conformable(rhs, rows=True)
     b = coeff.cols
-    aug = MatQm(coeff.ctx, [list(x) + list(y) for x, y in zip(coeff.data, rhs.data)], b + rhs.cols)
+    aug = MatQm._wrap(coeff.ctx, [x + y for x, y in zip(coeff.data, rhs.data)], b + rhs.cols)
     reduced, pivots = rref(aug)
     coeff_pivots = [p for p in pivots if p < b]
     if len(coeff_pivots) < b:
         raise RankDeficientError(f"coefficient matrix has column rank {len(coeff_pivots)} < {b}")
     if len(pivots) > b:
         raise InconsistentSystemError("no solution: residual rows are nonzero")
-    xt = [reduced.data[i][b:] for i in range(b)]
-    return MatQm(coeff.ctx, [[xt[i][j] for i in range(b)] for j in range(rhs.cols)], b)
+    return MatQm._wrap(coeff.ctx, [reduced.data[i][b:] for i in range(b)], rhs.cols).transpose()

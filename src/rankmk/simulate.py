@@ -81,7 +81,7 @@ def trial_rng(master_seed: int, index: int) -> SplitMix64:
 def rand_matrix(rng: SplitMix64, ctx: ExtField, rows: int, cols: int, subfield: bool = False):
     bound = ctx.q if subfield else ctx.order
     cls = MatQ if subfield else MatQm
-    return cls(ctx, [[rng.below(bound) for _ in range(cols)] for _ in range(rows)], cols)
+    return cls._wrap(ctx, [[rng.below(bound) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def sample_full_rank(
@@ -130,10 +130,10 @@ def sample_error(
     if t > n or (mode == "uniform" and t > ell * ctx.m) or (mode == "fullrank" and t > ell):
         raise ParameterError(f"rank weight t={t} infeasible for ell={ell}, n={n}")
     if t == 0:
-        return MatQm.zeros(ctx, ell, n), MatQm(ctx, [[] for _ in range(ell)], 0), MatQ(ctx, [], n)
+        return MatQm.zeros(ctx, ell, n), MatQm.zeros(ctx, ell, 0), MatQ.zeros(ctx, 0, n)
     basis = sample_full_rank(rng, ctx, t, n, t, subfield=True, rank_over="q")
     coeff = sample_full_rank(rng, ctx, ell, t, t, rank_over="q" if mode == "uniform" else "qm")
-    return coeff @ MatQm(ctx, basis.data, basis.cols), coeff, basis
+    return coeff @ basis, coeff, basis
 
 
 # -- bounds and counting -------------------------------------------------------
@@ -274,6 +274,7 @@ def run_trials(cfg: SimConfig, check_support_duality: bool = False) -> SimReport
     resolved = resolve_code(cfg.code)
     ctx, h, gen = resolved.ctx, resolved.h, resolved.gen
     n, k, d = resolved.n, resolved.k, resolved.d
+    product, simple = success_lower_bound(cfg.t, cfg.ell, ctx.m, ctx.q)
     start = time.perf_counter()
     successes = support_f = erasure_f = verify_f = miscorrections = 0
     duality_violations = 0 if check_support_duality else None
@@ -298,7 +299,6 @@ def run_trials(cfg: SimConfig, check_support_duality: bool = False) -> SimReport
             erasure_f += 1
         else:
             verify_f += 1
-    product, simple = success_lower_bound(cfg.t, cfg.ell, ctx.m, ctx.q)
     low, high = wilson_interval(successes, cfg.trials)
     return SimReport(
         config=cfg,

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
+import time
+
 import pytest
 
 from rankmk.cli import main
@@ -98,6 +100,7 @@ def test_parameter_error_exit_codes(tmp_path, msg_file, capsys):
     assert run("decode", "--code", CODE, "--in", msg_file, "--out", chat) == 4  # missing --field
     assert run("decode", "--field", FIELD, "--code", "hamming:xyz", "--in", msg_file, "--out", chat) == 4
     assert run("bogus-subcommand") == 4
+    assert run("bench") == 4  # retired: timing lives in rankbench/
     capsys.readouterr()
 
 
@@ -143,6 +146,13 @@ def test_bound_command(capsys):
     assert "simple,0.875" in out
 
 
-def test_bench_runs(capsys):
-    assert run("bench", "--reps", 2) == 0
-    assert "ms/word" in capsys.readouterr().out
+def test_huge_base_field_header_fails_fast(tmp_path, capsys):
+    # q = 2^61 - 1 is prime; trial division up to its square root would hang.
+    word = tmp_path / "word.txt"
+    word.write_text("2305843009213693951 1 1 1\n0\n")
+    start = time.perf_counter()
+    code = run("corrupt", "--in", word, "--t", 0, "--out", tmp_path / "rx.txt",
+               "--error-out", tmp_path / "err.txt")
+    assert code == 4
+    assert time.perf_counter() - start < 2.0
+    assert "parameter error" in capsys.readouterr().err

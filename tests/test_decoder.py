@@ -1,5 +1,7 @@
 """Decoder pipeline: golden fixtures, planted-instance oracles, failure taxonomy."""
 
+import copy
+
 import pytest
 
 from conftest import all_rref_bases, gab_code, planted_word
@@ -180,6 +182,15 @@ def test_decode_planted_random():
         out = decode(code.h, received, code.d)
         assert out.success and out.c_hat == word
         assert out.c_hat.add(out.a_hat @ MatQm(code.ctx, out.b_hat.data, 5)) == received
+
+
+def test_decode_leaves_inputs_unchanged():
+    code = gab_code(2, 5, 5, 2)
+    for seed in range(10):
+        _, _, received = planted_word(code, 3, 2 + seed % 2, seed)
+        before = copy.deepcopy([code.h.data, received.data])
+        decode(code.h, received, code.d)
+        assert [code.h.data, received.data] == before
 
 
 def test_decode_too_many_errors():

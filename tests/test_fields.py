@@ -177,6 +177,9 @@ def test_constructor_validation():
         ExtField(2, 3, (1, 1, 0, 0))  # not monic
     with pytest.raises(ParameterError):
         ExtField(11, 3)  # no default polynomial shipped
+    with pytest.raises(ParameterError):
+        ExtField(2**61 - 1, 1, (1, 1))  # prime, but past the 2^31 bound
+    assert ExtField(2**31 - 1, 1, (1, 1)).order == 2**31 - 1  # largest supported prime
 
 
 def test_default_moduli_primitive():

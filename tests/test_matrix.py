@@ -1,5 +1,7 @@
 """Exact linear algebra: golden fixtures plus randomized re-check oracles."""
 
+import copy
+
 import pytest
 
 from conftest import is_rref
@@ -284,6 +286,40 @@ def test_text_errors(f32):
         mat_from_text("2 5 1 2\n1 x\n", ctx=f32)
     with pytest.raises(FormatError):
         mat_from_text("2 3 1 2\n1 2\n", ctx=f32)  # wrong field
+    with pytest.raises(FormatError):
+        mat_from_text("2 5 1 2\n1 32\n", ctx=f32)  # 32 = q^m
+    with pytest.raises(FormatError):
+        mat_from_text("2 5 1 2\n1 -1\n", ctx=f32)
+    with pytest.raises(FormatError):
+        mat_from_text("2 5 1 2\n1 2\n", ctx=f32, subfield=True)  # 2 = q
+
+
+def test_constructor_copies_caller_rows(f8):
+    rows = [[1, 2], [3, 4]]
+    m = MatQm(f8, rows)
+    rows[0][0] = 7
+    rows[1].append(5)
+    rows.append([5, 6])
+    assert m.data == [[1, 2], [3, 4]]
+    assert (m.rows, m.cols) == (2, 2)
+
+
+def test_algorithms_leave_inputs_unchanged(f8):
+    rng = SplitMix64(12)
+    for _ in range(20):
+        m = rand_matrix(rng, f8, 4, 4)
+        sub = rand_matrix(rng, f8, 4, 5, subfield=True)
+        rhs = rand_matrix(rng, f8, 4, 2)
+        before = copy.deepcopy([m.data, sub.data, rhs.data])
+        rref(m)
+        rref(sub)
+        rref_with_transform(m)
+        right_kernel_q(sub)
+        try:
+            solve_right(m, rhs)
+        except RankDeficientError:
+            pass
+        assert [m.data, sub.data, rhs.data] == before
 
 
 def test_structure_ops(f8):

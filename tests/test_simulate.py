@@ -1,6 +1,7 @@
 """RNG contract, sampling distributions, bounds, counting, Monte-Carlo harness."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,16 @@ def test_sim_config_validation():
         SimConfig(code=code, ell=2, t=1, trials=0, seed=0)
     with pytest.raises(ParameterError):
         SimConfig(code=code, ell=2, t=1, trials=10, seed=0, mode="sometimes")
+
+
+def test_run_trials_rejects_t_above_ell_before_any_trial():
+    # uniform mode admits t > ell, but the success bounds need t <= ell
+    code = gab_code(2, 4, 4, 1)
+    cfg = SimConfig(code=code, ell=2, t=3, trials=20_000, seed=1, mode="uniform")
+    start = time.perf_counter()
+    with pytest.raises(ParameterError):
+        run_trials(cfg)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_report_csv_and_summary():
