@@ -20,6 +20,7 @@ from .codes import (
     encode_interleaved,
     resolve_code,
 )
+from .decoder import decode
 from .errors import FormatError, ParameterError
 from .fields import ExtField
 from .matrix import MatQm, mat_from_text
@@ -112,8 +113,6 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    from .decoder import decode
-
     code = _load_code(args)
     received = _read_matrix(args.infile, ctx=code.ctx)
     outcome = decode(code.h, received, code.d)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import FormatError, ParameterError
 from .fields import ExtField
-from .matrix import MatQm, mat_from_text, rank_q, rank_qm, rref
+from .matrix import MatQm, mat_from_text, rank_q, rank_qm, right_kernel_qm
 
 # Exhaustive enumeration guard (number of codewords).
 ENUM_LIMIT = 2**20
@@ -83,9 +83,12 @@ class LinearCodeSpec:
 
 
 def moore_matrix(ctx: ExtField, g, rows: int) -> MatQm:
-    """Matrix whose row i applies the q^i power map entrywise to g."""
-    g = [int(a) for a in g]
-    return MatQm(ctx, [[ctx.frobenius(a, i) for a in g] for i in range(rows)], len(g))
+    """Matrix whose row i applies the q^i power map entrywise to g.
+
+    Each locator must be an element code of ctx (FormatError otherwise).
+    """
+    g = [ctx.check(int(a)) for a in g]
+    return MatQm._wrap(ctx, [[ctx.frobenius(a, i) for a in g] for i in range(rows)], len(g))
 
 
 def gabidulin_generator(spec: GabidulinSpec) -> MatQm:
@@ -96,28 +99,12 @@ def gabidulin_generator(spec: GabidulinSpec) -> MatQm:
 def parity_check_from_generator(gen: MatQm) -> MatQm:
     """Canonical (RREF) parity-check matrix for a full-rank generator.
 
-    Brings gen to RREF, reads the non-pivot block P from [I | P] under the
-    pivot-column permutation, assembles [-P^T | I] on permuted coordinates,
-    undoes the permutation, and RREF-canonicalizes the result.
+    Its rows are the canonical basis of the right kernel of gen.
     """
-    ctx = gen.ctx
-    k, n = gen.rows, gen.cols
-    reduced, pivots = rref(gen)
-    if len(pivots) != k:
-        raise ParameterError(f"generator matrix has rank {len(pivots)} < {k}")
-    free = [j for j in range(n) if j not in set(pivots)]
-    perm = pivots + free
-    neg = ctx.neg
-    rows = []
-    for i, f in enumerate(free):
-        row = [0] * n
-        for r, p in enumerate(pivots):
-            row[p] = neg(reduced.data[r][f])
-        row[f] = 1
-        rows.append(row)
-    h = rref(MatQm._wrap(ctx, rows, n))[0]
-    if not (h @ gen.transpose()).is_zero():
-        raise ParameterError("internal: parity-check construction failed")
+    h = right_kernel_qm(gen)
+    rank = gen.cols - h.rows
+    if rank != gen.rows:
+        raise ParameterError(f"generator matrix has rank {rank} < {gen.rows}")
     return h
 
 
@@ -128,8 +115,6 @@ def linear_code_from_gabidulin(spec: GabidulinSpec) -> LinearCodeSpec:
 
 def generator_from_parity_check(h: MatQm) -> MatQm:
     """Canonical generator (RREF kernel basis) of the code with parity check h."""
-    from .matrix import right_kernel_qm
-
     return right_kernel_qm(h)
 
 

@@ -1,14 +1,20 @@
 """Syndrome decoding of high-order interleaved codes.
 
-`decode` implements the rank-metric decoder: echelonize the syndrome,
-carry the row transform onto the parity-check matrix, read the error
-support off the kernel of the coordinate-expanded trailing rows, then
-solve the erasure system for the coefficient matrix.  It is guaranteed to
-return the transmitted codeword whenever t <= d - 2 errors occurred, the
-interleaving order is at least t, and the error matrix has full rank over
-the extension field.  `mk_hamming_decode` is the classic Metzner and
-Kapturowski (1990) decoder for column-burst errors, the Hamming-metric
-sibling of the same idea.
+Both decoders run one pipeline: the syndrome, its echelon form with the
+row transform carried onto the parity-check matrix, the error support read
+off the trailing transformed rows, the erasure solve for the coefficient
+matrix, and a verification of the result.  The two metrics differ in two
+places only: how the support is read off the trailing rows, and how the
+weight of the recovered error is measured.
+
+`decode` is the rank-metric decoder: the support is the F_q-kernel of the
+coordinate-expanded trailing rows and the weight is the rank over F_q.  It
+is guaranteed to return the transmitted codeword whenever t <= d - 2
+errors occurred, the interleaving order is at least t, and the error
+matrix has full rank over the extension field.  `mk_hamming_decode` is the
+classic Metzner and Kapturowski (1990) decoder for column-burst errors:
+the support is the set of all-zero columns of the trailing rows and the
+weight is the number of nonzero columns.
 
 The decoder only ever reads the parity-check matrix, never a generator.
 All functions are pure; inputs are never mutated.
@@ -50,11 +56,11 @@ class DecodeFailure(Exception):
 
 @dataclass(frozen=True)
 class SupportRecovery:
-    """Recovered error support: trailing parity-check rows and kernel basis."""
+    """Recovered error support: trailing parity-check rows and support basis."""
 
     t_hat: int
     h_sub: MatQm
-    basis: MatQ  # canonical (RREF) basis of the recovered rank support
+    basis: MatQ  # canonical (RREF) basis of the recovered support
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm]:
     t_hat = sum(1 for row in reduced.data if any(row))
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
-    ph = trans @ h
-    return t_hat, ph.submatrix(t_hat, h.rows, 0, h.cols)
+    return t_hat, trans.submatrix(t_hat, h.rows, 0, h.rows) @ h
 
 
 def recover_support(h: MatQm, synd: MatQm) -> SupportRecovery:
@@ -115,11 +120,30 @@ def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
         raise DecodeFailure(FailureReason.INCONSISTENT, str(exc)) from exc
 
 
-def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
-    """Full decoding pipeline; never returns success with a non-codeword.
+def _burst_support(h: MatQm, synd: MatQm) -> SupportRecovery:
+    """Burst support: the all-zero columns of the trailing rows, as identity rows."""
+    t_hat, h_sub = compute_hsub(h, synd)
+    positions = [j for j, col in enumerate(zip(*h_sub.data)) if not any(col)]
+    if len(positions) != t_hat:
+        raise DecodeFailure(
+            FailureReason.SUPPORT_DIMENSION_MISMATCH,
+            f"{len(positions)} zero columns != syndrome rank {t_hat}",
+        )
+    basis = MatQ._wrap(h.ctx, [[int(j == p) for j in range(h.cols)] for p in positions], h.cols)
+    return SupportRecovery(t_hat=t_hat, h_sub=h_sub, basis=basis)
 
-    The minimum rank distance `d`, when known, only sets the
-    beyond_guarantee flag (t_hat > d - 2); it is not used in computation.
+
+def _burst_weight(mat: MatQm) -> int:
+    """Hamming weight of an interleaved word: its number of nonzero columns."""
+    return sum(1 for col in zip(*mat.data) if any(col))
+
+
+def _decode(h: MatQm, received: MatQm, d: int | None, recover, weight) -> DecodeOutcome:
+    """The pipeline shared by both metrics.
+
+    `recover(h, synd)` returns the SupportRecovery or raises DecodeFailure;
+    `weight(e_hat)` measures the recovered error in the decoder's metric.
+    Success requires H @ C_hat^T = 0 and weight(E_hat) = t_hat.
     """
     if h.cols != received.cols:
         raise ParameterError(
@@ -127,17 +151,16 @@ def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
         )
     synd = syndrome(h, received)
     try:
-        support = recover_support(h, synd)
-        t_hat = support.t_hat
+        support = recover(h, synd)
         a_hat = erasure_decode(h, synd, support.basis)
     except DecodeFailure as failure:
         t_hat = rank_qm(synd)
-        beyond = d is not None and t_hat > d - 2
-        return DecodeOutcome.failed(failure.reason, t_hat, beyond)
+        return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2)
+    t_hat = support.t_hat
     beyond = d is not None and t_hat > d - 2
     e_hat = a_hat @ support.basis
     c_hat = received.sub(e_hat)
-    if not (h @ c_hat.transpose()).is_zero() or rank_q(e_hat) != t_hat:
+    if not (h @ c_hat.transpose()).is_zero() or weight(e_hat) != t_hat:
         return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond)
     return DecodeOutcome(
         success=True,
@@ -149,6 +172,15 @@ def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
         h_sub=support.h_sub,
         beyond_guarantee=beyond,
     )
+
+
+def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
+    """Rank-metric decoding; never returns success with a non-codeword.
+
+    The minimum rank distance `d`, when known, only sets the
+    beyond_guarantee flag (t_hat > d - 2); it is not used in computation.
+    """
+    return _decode(h, received, d, recover_support, rank_q)
 
 
 def beyond_d2_condition(h: MatQm, basis: MatQ) -> bool:
@@ -188,39 +220,7 @@ def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -
     The support positions are the all-zero columns of the trailing rows of
     P @ H; the basis rows are the corresponding identity vectors.  Succeeds
     when the burst hits at most d_H - 2 positions and the error columns are
-    independent over the extension field.
+    independent over the extension field.  `d_hamming` only sets the
+    beyond_guarantee flag, as `d` does for `decode`.
     """
-    if h.cols != received.cols:
-        raise ParameterError(
-            f"parity-check has {h.cols} columns but received word has {received.cols}"
-        )
-    ctx = h.ctx
-    synd = syndrome(h, received)
-    try:
-        t_hat, h_sub = compute_hsub(h, synd)
-    except DecodeFailure as failure:
-        return DecodeOutcome.failed(failure.reason, rank_qm(synd))
-    beyond = d_hamming is not None and t_hat > d_hamming - 2
-    positions = [j for j in range(h_sub.cols) if all(row[j] == 0 for row in h_sub.data)]
-    if len(positions) != t_hat:
-        return DecodeOutcome.failed(FailureReason.SUPPORT_DIMENSION_MISMATCH, t_hat, beyond)
-    basis = MatQ._wrap(ctx, [[int(j == p) for j in range(h.cols)] for p in positions], h.cols)
-    try:
-        a_hat = erasure_decode(h, synd, basis)
-    except DecodeFailure as failure:
-        return DecodeOutcome.failed(failure.reason, t_hat, beyond)
-    e_hat = a_hat @ basis
-    c_hat = received.sub(e_hat)
-    nonzero_cols = [j for j in range(e_hat.cols) if any(row[j] for row in e_hat.data)]
-    if not (h @ c_hat.transpose()).is_zero() or len(nonzero_cols) != t_hat:
-        return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond)
-    return DecodeOutcome(
-        success=True,
-        reason=None,
-        t_hat=t_hat,
-        c_hat=c_hat,
-        a_hat=a_hat,
-        b_hat=basis,
-        h_sub=h_sub,
-        beyond_guarantee=beyond,
-    )
+    return _decode(h, received, d_hamming, _burst_support, _burst_weight)

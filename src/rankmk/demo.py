@@ -62,7 +62,7 @@ def fixtures() -> dict:
     }
 
 
-def _show(ctx: ExtField, mat: MatQm) -> str:
+def _show(mat: MatQm) -> str:
     return "\n".join("  " + " ".join(f"{a:>4d}" for a in row) for row in mat.data) or "  (empty)"
 
 
@@ -87,7 +87,7 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
     def emit(name: str, mat: MatQm) -> None:
         if not quiet:
             print(f"{name}:", file=out)
-            print(_show(ctx, mat), file=out)
+            print(_show(mat), file=out)
 
     def fail(stage: str) -> int:
         print(f"FAIL at stage {stage}", file=out)

@@ -57,17 +57,6 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -80,6 +69,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _int_to_digits(code: int, q: int, length: int) -> tuple[int, ...]:
@@ -183,8 +176,6 @@ class ExtField:
         if self.alpha == 0:  # m = 1 with modulus x: the residue of x is zero
             return False
         n = self.order - 1
-        if n == 0:
-            return True
         for p in _prime_factors(n):
             if self._pow_raw(self.alpha, n // p) == 1:
                 return False
@@ -192,7 +183,7 @@ class ExtField:
 
     def _build_tables(self) -> None:
         n = self.order - 1
-        exp = [0] * (2 * n if n else 1)
+        exp = [0] * (2 * n)
         log = [0] * self.order
         v = 1
         for i in range(n):
@@ -298,8 +289,8 @@ class ExtField:
             return 1 if e == 0 else 0
         n = self.order - 1
         if self._log is not None:
-            return self._exp[(self._log[a] * e) % n] if n else a
-        return self._pow_raw(a, e % n if n else 0)
+            return self._exp[(self._log[a] * e) % n]
+        return self._pow_raw(a, e % n)
 
     def frobenius(self, a: int, i: int) -> int:
         """The q^i-power map a -> a^(q^i); identity for i = 0 or i = m."""
@@ -328,14 +319,11 @@ class ExtField:
             raise ParameterError("alpha-power notation supported only for q^m <= 2^20")
         if not self.is_primitive:
             raise ParameterError("field polynomial is not primitive; alpha-power notation unavailable")
-        if self._log is None:
-            self._build_tables()
 
     def alpha_pow(self, k: int) -> int:
         """alpha^k for a primitive field polynomial (k taken mod q^m - 1)."""
         self._require_tables()
-        n = self.order - 1
-        return self._exp[k % n] if n else 1
+        return self._exp[k % (self.order - 1)]
 
     def dlog(self, a: int) -> int:
         """Discrete log base alpha; the inverse of alpha_pow on [0, q^m - 1)."""

@@ -331,7 +331,11 @@ def rank_q(mat: MatQm) -> int:
 # -- kernels and complements ----------------------------------------------------------------
 
 
-def _kernel_basis(mat: MatQm) -> MatQm:
+def right_kernel_qm(mat: MatQm) -> MatQm:
+    """Canonical (RREF) basis of {v in F_{q^m}^n : mat @ v^T = 0}.
+
+    A subfield matrix has a subfield kernel basis, returned as a `MatQ`.
+    """
     ctx = mat.ctx
     reduced, pivots = rref(mat)
     pivot_set = set(pivots)
@@ -348,19 +352,11 @@ def _kernel_basis(mat: MatQm) -> MatQm:
     return rref(basis)[0] if rows else basis
 
 
-def right_kernel_qm(mat: MatQm) -> MatQm:
-    """Canonical (RREF) basis of {v in F_{q^m}^n : mat @ v^T = 0}.
-
-    A subfield matrix has a subfield kernel basis, returned as a `MatQ`.
-    """
-    return _kernel_basis(mat)
-
-
 def right_kernel_q(mat: MatQ) -> MatQ:
     """Canonical (RREF) basis of {v in F_q^n : mat @ v^T = 0}."""
     if not isinstance(mat, MatQ):
         raise FormatError("right_kernel_q expects a subfield matrix; ext-expand first")
-    return _kernel_basis(mat)
+    return right_kernel_qm(mat)
 
 
 def orth_complement_q(basis: MatQ) -> MatQ:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import GabidulinSpec, LinearCodeSpec, resolve_code
+from .codes import GabidulinSpec, LinearCodeSpec, moore_matrix, resolve_code
 from .decoder import FailureReason, decode
 from .errors import ParameterError
 from .fields import ExtField
@@ -328,14 +328,14 @@ def lo_condition_check(g, k: int, err: MatQm) -> bool:
     weight of `err`.
     """
     ctx = err.ctx
-    g = [int(a) for a in g]
+    g = list(g)
     n = len(g)
     if err.cols != n:
         raise ParameterError("error width does not match locator length")
     t = rank_q(err)
     if n - t - 2 < 0 or n - k - t - 1 < 0:
         raise ParameterError(f"t={t} too large for the stacked-rank condition (n={n}, k={k})")
-    rows = [[ctx.frobenius(a, i) for a in g] for i in range(n - t - 1)]
+    rows = list(moore_matrix(ctx, g, n - t - 1).data)
     for i in range(n - k - t):
         rows.extend([[ctx.frobenius(a, i) for a in row] for row in err.data])
-    return rank_qm(MatQm(ctx, rows, n)) == n - 1
+    return rank_qm(MatQm._wrap(ctx, rows, n)) == n - 1

@@ -19,7 +19,7 @@ from rankmk.codes import (
 from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import MatQm, rank_q, rank_qm
-from rankmk.simulate import SplitMix64, rand_matrix
+from rankmk.simulate import SplitMix64, lo_condition_check, rand_matrix
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,16 @@ def test_moore_matrix_rows():
     mm = moore_matrix(ctx, g, 3)
     for i in range(3):
         assert mm.data[i] == [ctx.frobenius(a, i) for a in g]
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_locators_checked_where_they_enter(bad):
+    # -1 would index the log table from its end; 16 lies past its end
+    ctx = ExtField(2, 4)
+    with pytest.raises(FormatError):
+        moore_matrix(ctx, [bad, 2], 2)
+    with pytest.raises(FormatError):
+        lo_condition_check((bad, 2, 4, 8), 2, MatQm.zeros(ctx, 2, 4))
 
 
 def test_all_nonzero_codewords_have_weight_d():
