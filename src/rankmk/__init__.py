@@ -42,6 +42,7 @@ from .matrix import (
     right_kernel_q,
     right_kernel_qm,
     rref,
+    rref_carry,
     rref_with_transform,
     solve_right,
 )

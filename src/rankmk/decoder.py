@@ -32,7 +32,7 @@ from .matrix import (
     ext_expand,
     rank_q,
     rank_qm,
-    rref_with_transform,
+    rref_carry,
     right_kernel_q,
     solve_right,
 )
@@ -85,16 +85,14 @@ def syndrome(h: MatQm, received: MatQm) -> MatQm:
 
 
 def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm]:
-    """Echelonize the syndrome and return (t_hat, trailing rows of P @ H).
-
-    t_hat is the extension-field rank of the syndrome; the returned rows
-    are the ones aligned with the zero rows of the echelonized syndrome.
-    """
-    trans, reduced = rref_with_transform(synd)
-    t_hat = sum(1 for row in reduced.data if any(row))
+    """Echelonize the syndrome, carrying the row operations onto H, and
+    return (t_hat, trailing rows of P @ H): t_hat is the extension-field
+    rank of S, and the rows are the ones aligned with its zero rows."""
+    _, carried, pivots = rref_carry(synd, h)
+    t_hat = len(pivots)
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
-    return t_hat, trans.submatrix(t_hat, h.rows, 0, h.rows) @ h
+    return t_hat, carried.submatrix(t_hat, h.rows, 0, h.cols)
 
 
 def recover_support(h: MatQm, synd: MatQm) -> SupportRecovery:
@@ -187,31 +185,18 @@ def beyond_d2_condition(h: MatQm, basis: MatQ) -> bool:
     """Whether the recovered support stays identifiable past the t <= d-2 regime.
 
     True iff appending any subfield row b outside the span of `basis` raises
-    the extension-field rank of H @ [B^T | b^T] to t + 1; equivalently, the
-    space {b in F_q^n : H b^T in colspan(H B^T)} has dimension exactly t.
-    Computed by expanding the joint linear system over F_q and projecting
-    its kernel onto the b-coordinates.
+    the extension-field rank of H @ [B^T | b^T] to t + 1; equivalently,
+    C = H B^T has rank t and the space {b in F_q^n : H b^T in colspan(C)}
+    has dimension exactly t.  With P echelonizing C, H b^T is in colspan(C)
+    iff P[t:] H b^T = 0: the space is the F_q-kernel of compute_hsub(H, C).
     """
-    ctx = h.ctx
-    n, t = h.cols, basis.rows
+    t = basis.rows
     if rank_q(basis) != t:
         raise ParameterError("support basis rows must be independent over F_q")
     if t + 1 > h.rows:
         return False
-    size = (h.rows * ctx.m) * (n + t * ctx.m)
-    if size > 4_000_000:
-        raise ParameterError("expanded membership system exceeds the size guard")
-    # Left block: b |-> coordinates of H b^T. Right block: x |-> -(H B^T) x,
-    # with x expressed by its t*m subfield coordinates, so its column j*m + r
-    # is -(H B^T)_j alpha^r.  Expansion is row-wise: expand [H | that] at once.
-    powers = [ctx.pow(ctx.alpha, r) for r in range(ctx.m)]
-    coeff = h @ basis.transpose()
-    scaled = [[ctx.neg(ctx.mul(a, p)) for a in row for p in powers] for row in coeff.data]
-    joint = ext_expand(h.hstack(MatQm._wrap(ctx, scaled, t * ctx.m)))
-    kernel = right_kernel_q(joint)
-    if kernel.rows == 0:
-        return t == 0
-    return rank_q(kernel.submatrix(0, kernel.rows, 0, n)) == t
+    rank, h_sub = compute_hsub(h, h @ basis.transpose())
+    return rank == t and right_kernel_q(ext_expand(h_sub)).rows == t
 
 
 def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -> DecodeOutcome:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .decoder import decode, syndrome
 from .fields import ExtField
-from .matrix import MatQ, MatQm, ext_expand, rref, rref_with_transform
+from .matrix import MatQ, MatQm, ext_expand, rref
 
 FIELD_SPEC = "q=2 m=5 f=1,0,1,0,0,1"
 
@@ -95,7 +95,7 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
 
     synd = syndrome(h, received)
     emit("S", synd)
-    trans, reduced = rref_with_transform(synd)
+    reduced = rref(synd)[0]
     emit("rref(S)", reduced)
     outcome = decode(h, received, d=4)
     if not outcome.success:

@@ -111,16 +111,16 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], q: int) 
     return _poly_rem(prod, f, q)
 
 
-def _is_irreducible(f: Sequence[int], q: int, m: int) -> bool:
-    """Trial division by every monic polynomial of degree <= m/2."""
-    if q ** (m // 2) > 2**16:
-        raise ParameterError("irreducibility check supports q^(m/2) <= 2^16")
-    for deg in range(1, m // 2 + 1):
-        for low in range(q**deg):
-            g = list(_int_to_digits(low, q, deg)) + [1]
-            if not any(_poly_rem(list(f), g, q)):
-                return False
-    return True
+def _poly_coprime(f: Sequence[int], g: Sequence[int], q: int) -> bool:
+    """Whether the monic f and g share no factor of positive degree (Euclid)."""
+    a, b = list(f), list(g)
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        s = pow(b[-1], q - 2, q)
+        a, b = [c * s % q for c in b], a
+        b = _poly_rem(b, a, q)
+    return len(a) == 1
 
 
 class ExtField:
@@ -151,8 +151,6 @@ class ExtField:
             raise FormatError("field polynomial coefficients must lie in [0, q)")
         if modulus[-1] != 1:
             raise FormatError("field polynomial must be monic")
-        if not _is_irreducible(modulus, q, m):
-            raise ParameterError(f"field polynomial {modulus} is reducible over F_{q}")
 
         self.q = q
         self.m = m
@@ -161,6 +159,8 @@ class ExtField:
         # alpha = residue of x: for m >= 2 the digit vector (0,1,0,...);
         # for m = 1 it reduces to -c0.
         self.alpha = q if m >= 2 else (q - modulus[0]) % q
+        if not self._is_irreducible():
+            raise ParameterError(f"field polynomial {modulus} is reducible over F_{q}")
 
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -171,6 +171,19 @@ class ExtField:
                 self._build_tables()
 
     # -- construction helpers -------------------------------------------------
+
+    def _is_irreducible(self) -> bool:
+        """Rabin's test, in the raw arithmetic mod f: x^(q^m) = x, and
+        x^(q^(m/p)) - x is coprime to f for every prime p dividing m."""
+        q, m, x = self.q, self.m, self.alpha
+        if q ** (m // 2) > 2**16:
+            raise ParameterError("irreducibility check supports q^(m/2) <= 2^16")
+
+        def minus_x(k: int) -> tuple[int, ...]:
+            return _int_to_digits(self.sub(self._pow_raw(x, q**k), x), q, m)
+
+        coprime = (_poly_coprime(self.modulus, minus_x(m // p), q) for p in _prime_factors(m))
+        return not any(minus_x(m)) and all(coprime)
 
     def _check_primitive(self) -> bool:
         if self.alpha == 0:  # m = 1 with modulus x: the residue of x is zero

@@ -7,6 +7,10 @@ under the field operations, every algorithm below works verbatim on both
 types and preserves the subfield invariant: a result is a `MatQ` iff all
 its operands are.
 
+`rref_carry` reduces [mat | other] with pivots only in mat's columns, so
+the carried columns get the same row operations: the transform P is I
+carried, and a solve carries its right-hand side.
+
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
 `mat_from_text`.  Algorithms build their results with the unchecked
@@ -67,9 +71,6 @@ class MatQm:
         return cls._wrap(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     # -- structure --------------------------------------------------------------
-
-    def col(self, j: int) -> list[int]:
-        return [r[j] for r in self.data]
 
     def transpose(self) -> "MatQm":
         data = [list(c) for c in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
@@ -262,24 +263,32 @@ def rref(mat: MatQm) -> tuple[MatQm, list[int]]:
         out, pivots = _rref_gf2(mat.data, mat.cols)
     else:
         out = list(mat.data)
-        pivots = _eliminate(ctx, out, mat.cols, None)
+        pivots = _eliminate(ctx, out, mat.cols)
     return type(mat)._wrap(ctx, out, mat.cols), pivots
 
 
+def rref_carry(mat: MatQm, other: MatQm) -> tuple[MatQm, MatQm, list[int]]:
+    """(rref(mat), P @ other, pivots), where P @ mat = rref(mat): the RREF
+    of [mat | other] with pivots chosen only in mat's columns."""
+    mat._conformable(other, rows=True)
+    ctx, b = mat.ctx, mat.cols
+    work = [x + y for x, y in zip(mat.data, other.data)]
+    pivots = _eliminate(ctx, work, b)
+    reduced = type(mat)._wrap(ctx, [r[:b] for r in work], b)
+    return reduced, _result_type(mat, other)._wrap(ctx, [r[b:] for r in work], other.cols), pivots
+
+
 def rref_with_transform(mat: MatQm) -> tuple[MatQm, MatQm]:
-    """Invertible P with P @ mat = rref(mat); row operations mirrored on I."""
-    ctx = mat.ctx
-    work = list(mat.data)
-    trans = MatQm.identity(ctx, mat.rows).data
-    _eliminate(ctx, work, mat.cols, trans)
-    return MatQm._wrap(ctx, trans, mat.rows), type(mat)._wrap(ctx, work, mat.cols)
+    """Invertible P with P @ mat = rref(mat): the row operations carried onto I."""
+    reduced, trans, _ = rref_carry(mat, MatQm.identity(mat.ctx, mat.rows))
+    return trans, reduced
 
 
-def _eliminate(ctx: ExtField, work: list[list[int]], cols: int, trans: list[list[int]] | None) -> list[int]:
-    """RREF in place on the row lists `work` and `trans`; scans columns left to
-    right, picks the topmost nonzero pivot, normalizes it to 1 and clears the
-    column above and below.  Rows are replaced, never mutated, so `work` may
-    hold rows shared with another matrix."""
+def _eliminate(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
+    """RREF in place on the row lists `work`; scans the first `cols` columns
+    left to right, picks the topmost nonzero pivot, normalizes it to 1 and
+    clears the column above and below.  Row operations act on whole rows, so
+    columns past `cols` are carried.  Rows are replaced, never mutated."""
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     nrows = len(work)
     pivots = []
@@ -289,23 +298,16 @@ def _eliminate(ctx: ExtField, work: list[list[int]], cols: int, trans: list[list
         if pivot is None:
             continue
         work[pr], work[pivot] = work[pivot], work[pr]
-        if trans is not None:
-            trans[pr], trans[pivot] = trans[pivot], trans[pr]
         lead = work[pr][c]
         if lead != 1:
             s = inv(lead)
             work[pr] = [mul(s, a) for a in work[pr]]
-            if trans is not None:
-                trans[pr] = [mul(s, a) for a in trans[pr]]
         prow = work[pr]
         for i in range(nrows):
             f = work[i][c]
             if i == pr or f == 0:
                 continue
             work[i] = [sub(a, mul(f, b)) for a, b in zip(work[i], prow)]
-            if trans is not None:
-                trow = trans[pr]
-                trans[i] = [sub(a, mul(f, b)) for a, b in zip(trans[i], trow)]
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -374,13 +376,10 @@ def solve_right(coeff: MatQm, rhs: MatQm) -> MatQm:
     it does not (solution would not be unique) and InconsistentSystemError
     when no solution exists.
     """
-    coeff._conformable(rhs, rows=True)
     b = coeff.cols
-    aug = MatQm._wrap(coeff.ctx, [x + y for x, y in zip(coeff.data, rhs.data)], b + rhs.cols)
-    reduced, pivots = rref(aug)
-    coeff_pivots = [p for p in pivots if p < b]
-    if len(coeff_pivots) < b:
-        raise RankDeficientError(f"coefficient matrix has column rank {len(coeff_pivots)} < {b}")
-    if len(pivots) > b:
+    _, carried, pivots = rref_carry(coeff, rhs)
+    if len(pivots) < b:
+        raise RankDeficientError(f"coefficient matrix has column rank {len(pivots)} < {b}")
+    if any(any(row) for row in carried.data[b:]):
         raise InconsistentSystemError("no solution: residual rows are nonzero")
-    return MatQm._wrap(coeff.ctx, [reduced.data[i][b:] for i in range(b)], rhs.cols).transpose()
+    return MatQm._wrap(coeff.ctx, carried.data[:b], rhs.cols).transpose()

@@ -1,5 +1,8 @@
 """Field arithmetic: fixtures, independent oracles, and exhaustive properties."""
 
+import itertools
+import time
+
 import pytest
 
 from rankmk.errors import FormatError, ParameterError
@@ -151,6 +154,48 @@ def test_non_primitive_modulus_rejected_for_alpha_pow():
 def test_reducible_modulus_rejected():
     with pytest.raises(ParameterError):
         ExtField(2, 4, (1, 0, 1, 0, 1))  # (x^2 + x + 1)^2
+
+
+def _irreducible_by_trial_division(f, q, m):
+    """Oracle: no monic polynomial of degree 1..m/2 divides f."""
+    for deg in range(1, m // 2 + 1):
+        for low in itertools.product(range(q), repeat=deg):
+            g = list(low) + [1]
+            rem = list(f)
+            for i in range(m, deg - 1, -1):
+                c = rem[i]
+                for j in range(deg + 1):
+                    rem[i - deg + j] = (rem[i - deg + j] - c * g[j]) % q
+            if not any(rem):
+                return False
+    return True
+
+
+def _accepted(q, m, f):
+    try:
+        ExtField(q, m, f)
+    except ParameterError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q, max_m", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducibility_matches_trial_division(q, max_m):
+    # every monic polynomial of degree <= max_m: accepted iff irreducible
+    for m in range(1, max_m + 1):
+        for low in itertools.product(range(q), repeat=m):
+            f = list(low) + [1]
+            assert _accepted(q, m, f) == _irreducible_by_trial_division(f, q, m), f
+
+
+def test_degree_32_spec_builds_quickly():
+    # x^32 + x^22 + x^2 + x + 1 is irreducible; trial division by the ~131k
+    # monic polynomials of degree <= 16 took seconds to show it.
+    coeffs = [1 if i in (0, 1, 2, 22, 32) else 0 for i in range(33)]
+    start = time.perf_counter()
+    ctx = ExtField.from_spec("q=2 m=32 f=" + ",".join(map(str, coeffs)))
+    assert time.perf_counter() - start < 0.5
+    assert ctx.order == 2**32
 
 
 def test_degenerate_degree_one_modulus():
