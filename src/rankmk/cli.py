@@ -117,7 +117,10 @@ def cmd_decode(args) -> int:
     received = _read_matrix(args.infile, ctx=code.ctx)
     outcome = decode(code.h, received, code.d)
     if not outcome.success:
-        print(f"decode failure: {outcome.reason.value} (t_hat={outcome.t_hat})", file=sys.stderr)
+        print(
+            f"decode failure: {outcome.reason.value} (t_hat={outcome.t_hat}): {outcome.detail}",
+            file=sys.stderr,
+        )
         return EXIT_DECODE_FAILURE
     _write(args.out, outcome.c_hat.to_text())
     if args.out_coeff:

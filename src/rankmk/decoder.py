@@ -73,10 +73,11 @@ class DecodeOutcome:
     b_hat: MatQ | None = None
     h_sub: MatQm | None = None
     beyond_guarantee: bool = False
+    detail: str = ""  # why a decode failed, in words; empty on success
 
     @classmethod
-    def failed(cls, reason: FailureReason, t_hat: int, beyond: bool = False) -> "DecodeOutcome":
-        return cls(success=False, reason=reason, t_hat=t_hat, beyond_guarantee=beyond)
+    def failed(cls, reason: FailureReason, t_hat: int, beyond: bool, detail: str) -> "DecodeOutcome":
+        return cls(success=False, reason=reason, t_hat=t_hat, beyond_guarantee=beyond, detail=detail)
 
 
 def syndrome(h: MatQm, received: MatQm) -> MatQm:
@@ -141,7 +142,8 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover, weight) -> Decode
 
     `recover(h, synd)` returns the SupportRecovery or raises DecodeFailure;
     `weight(e_hat)` measures the recovered error in the decoder's metric.
-    Success requires H @ C_hat^T = 0 and weight(E_hat) = t_hat.
+    Success requires H @ C_hat^T = 0 and weight(E_hat) = t_hat.  A failed
+    outcome keeps the failure's detail text, naming the check that failed.
     """
     if h.cols != received.cols:
         raise ParameterError(
@@ -153,13 +155,17 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover, weight) -> Decode
         a_hat = erasure_decode(h, synd, support.basis)
     except DecodeFailure as failure:
         t_hat = rank_qm(synd)
-        return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2)
+        return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2, str(failure))
     t_hat = support.t_hat
     beyond = d is not None and t_hat > d - 2
     e_hat = a_hat @ support.basis
     c_hat = received.sub(e_hat)
-    if not (h @ c_hat.transpose()).is_zero() or weight(e_hat) != t_hat:
-        return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond)
+    if not (h @ c_hat.transpose()).is_zero():
+        return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond, "H @ C_hat^T != 0")
+    w = weight(e_hat)
+    if w != t_hat:
+        detail = f"recovered error weight {w} != syndrome rank {t_hat}"
+        return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond, detail)
     return DecodeOutcome(
         success=True,
         reason=None,

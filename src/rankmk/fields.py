@@ -9,7 +9,10 @@ plain integer arithmetic mod q.
 
 Multiplication reduces modulo the field polynomial in O(m^2).  When the
 polynomial is primitive and the field is small, discrete-log tables are built
-once so multiplication, inversion and powering become table lookups.
+once so multiplication, inversion and powering become table lookups.  For odd
+q those fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
+addition, subtraction and negation are table lookups too; for q = 2 addition
+is XOR, and fields without tables add digit by digit.
 """
 
 from __future__ import annotations
@@ -159,11 +162,12 @@ class ExtField:
         # alpha = residue of x: for m >= 2 the digit vector (0,1,0,...);
         # for m = 1 it reduces to -c0.
         self.alpha = q if m >= 2 else (q - modulus[0]) % q
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
+        self._zech: list[int] | None = None  # odd q with tables only
         if not self._is_irreducible():
             raise ParameterError(f"field polynomial {modulus} is reducible over F_{q}")
 
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
         self._primitive: bool | None = None
         if self.order <= TABLE_LIMIT:
             self._primitive = self._check_primitive()
@@ -207,6 +211,13 @@ class ExtField:
             exp[i] = exp[i - n]
         self._exp = exp
         self._log = log
+        if self.q != 2:
+            # 1 + alpha^k only bumps the constant digit; it is 0 at k = n/2,
+            # since alpha^(n/2) = -1, and that entry is marked -1.
+            q = self.q
+            ones = (c - c % q + (c % q + 1) % q for c in exp[:n])
+            self._zech = [log[c] if c else -1 for c in ones]
+            self._half = n // 2
 
     @property
     def is_primitive(self) -> bool:
@@ -255,6 +266,13 @@ class ExtField:
     def add(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
+        zech = self._zech
+        if zech is not None:
+            if a == 0 or b == 0:
+                return a or b
+            la = self._log[a]
+            z = zech[(self._log[b] - la) % len(zech)]
+            return self._exp[la + z] if z >= 0 else 0
         q = self.q
         out = 0
         mult = 1
@@ -268,6 +286,8 @@ class ExtField:
     def neg(self, a: int) -> int:
         if self.q == 2:
             return a
+        if self._zech is not None:
+            return self._exp[self._log[a] + self._half] if a else 0
         q = self.q
         out = 0
         mult = 1
@@ -278,7 +298,19 @@ class ExtField:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b)) if self.q != 2 else a ^ b
+        if self.q == 2:
+            return a ^ b
+        zech = self._zech
+        if zech is None:
+            return self.add(a, self.neg(b))
+        if b == 0:
+            return a
+        lb = self._log[b] + self._half  # log of -b, taken mod n below
+        if a == 0:
+            return self._exp[lb]
+        la = self._log[a]
+        z = zech[(lb - la) % len(zech)]
+        return self._exp[la + z] if z >= 0 else 0
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

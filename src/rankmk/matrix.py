@@ -82,11 +82,6 @@ class MatQm:
             raise FormatError("submatrix range out of bounds")
         return type(self)._wrap(self.ctx, [r[c0:c1] for r in self.data[r0:r1]], c1 - c0)
 
-    def hstack(self, other: "MatQm") -> "MatQm":
-        self._conformable(other, rows=True)
-        cls = _result_type(self, other)
-        return cls._wrap(self.ctx, [a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
-
     def vstack(self, other: "MatQm") -> "MatQm":
         self._conformable(other, cols=True)
         return _result_type(self, other)._wrap(self.ctx, self.data + other.data, self.cols)

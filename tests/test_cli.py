@@ -87,6 +87,18 @@ def test_decode_failure_exit_code(tmp_path, capsys):
     assert "too_many_errors" in capsys.readouterr().err
 
 
+def test_decode_failure_prints_detail(tmp_path, capsys):
+    cw, rx, err, chat = (tmp_path / n for n in ("cw.txt", "rx.txt", "err.txt", "chat.txt"))
+    msg3 = tmp_path / "msg3.txt"
+    msg3.write_text("2 5 3 2\n2 1\n4 2\n7 9\n")
+    run("encode", "--field", FIELD, "--code", CODE, "--message", msg3, "--out", cw)
+    run("corrupt", "--in", cw, "--t", 3, "--seed", 2, "--mode", "fullrank",
+        "--out", rx, "--error-out", err)
+    assert run("decode", "--field", FIELD, "--code", CODE, "--in", rx, "--out", chat) == 2
+    stderr = capsys.readouterr().err
+    assert "too_many_errors (t_hat=3): syndrome rank 3 leaves no zero rows" in stderr
+
+
 def test_format_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a matrix\n")

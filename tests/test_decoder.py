@@ -8,6 +8,7 @@ from conftest import all_rref_bases, gab_code, planted_word
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
+    _decode,
     beyond_d2_condition,
     compute_hsub,
     decode,
@@ -202,6 +203,20 @@ def test_decode_too_many_errors():
     assert out.t_hat == 3 and out.beyond_guarantee
 
 
+def test_failure_detail_is_kept():
+    code = gab_code(2, 5, 5, 2)
+    _, _, received = planted_word(code, 3, 3, 77)
+    out = decode(code.h, received, code.d)
+    assert out.detail == "syndrome rank 3 leaves no zero rows"
+    word, _, received = planted_word(code, 3, 2, 5)
+    out = decode(code.h, received, code.d)
+    assert out.success and out.detail == ""
+    # A weight that disagrees with t_hat must name the weight check.
+    out = _decode(code.h, received, code.d, recover_support, lambda e: rank_q(e) + 1)
+    assert out.reason is FailureReason.VERIFICATION_FAILED
+    assert out.detail == "recovered error weight 3 != syndrome rank 2"
+
+
 def test_decode_rank_deficient_error_never_miscorrects():
     # plant rank_qm(E) < rank_q(E) = t; decoder must fail or return the codeword
     code = gab_code(2, 4, 4, 1)
@@ -327,7 +342,7 @@ def _condition_oracle(h, basis):
             digits.append(r)
         if tuple(digits) in span:
             continue
-        stacked = bt.hstack(MatQm(ctx, [[d] for d in digits], 1))
+        stacked = MatQm(ctx, [row + [d] for row, d in zip(bt.data, digits)], t + 1)
         if rank_qm(h @ stacked) != t + 1:
             return False
     return True

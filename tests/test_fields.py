@@ -1,6 +1,7 @@
 """Field arithmetic: fixtures, independent oracles, and exhaustive properties."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -78,6 +79,42 @@ def test_add_sub_neg_consistency():
         assert ctx.add(a, ctx.neg(a)) == 0
         for b in range(ctx.order):
             assert ctx.sub(ctx.add(a, b), b) == a
+
+
+def _check_add_sub_neg(ctx):
+    """add, sub and neg against digit-wise arithmetic mod q: all pairs for
+    small fields, otherwise every a against a fixed seeded set of b."""
+    q, m, order = ctx.q, ctx.m, ctx.order
+    digits = [_digits(c, q, m) for c in range(order)]
+    weights = [q**i for i in range(m)]
+
+    def code(ds):
+        return sum(d * w for d, w in zip(ds, weights))
+
+    if order <= 343:
+        bs = range(order)
+    else:
+        bs = sorted({0, 1, order - 1, *random.Random(order).sample(range(order), 64)})
+    for a in range(order):
+        da = digits[a]
+        assert ctx.neg(a) == code([-x % q for x in da]), a
+        for b in bs:
+            db = digits[b]
+            assert ctx.add(a, b) == code([(x + y) % q for x, y in zip(da, db)]), (a, b)
+            assert ctx.sub(a, b) == code([(x - y) % q for x, y in zip(da, db)]), (a, b)
+
+
+@pytest.mark.parametrize("q,m", sorted(k for k in DEFAULT_MODULI if k[0] != 2))
+def test_table_add_sub_neg_match_digits(q, m):
+    ctx = ExtField(q, m)
+    assert ctx._zech is not None  # the Zech-logarithm path is the one under test
+    _check_add_sub_neg(ctx)
+
+
+def test_digit_loop_add_sub_neg_match_digits():
+    ctx = ExtField(3, 2, (1, 0, 1))  # x^2 + 1: irreducible, but alpha has order 4
+    assert not ctx.is_primitive and ctx._zech is None
+    _check_add_sub_neg(ctx)
 
 
 def test_subfield_closure():

@@ -326,11 +326,8 @@ def test_structure_ops(f8):
     m = MatQm(f8, [[1, 2, 3], [4, 5, 6]])
     assert m.submatrix(1, 2, 0, 3).data == [[4, 5, 6]]
     assert m.submatrix(0, 2, 1, 2).data == [[2], [5]]
-    assert m.hstack(m).cols == 6
     assert m.vstack(m).rows == 4
     with pytest.raises(FormatError):
         m.submatrix(0, 3, 0, 3)
-    with pytest.raises(FormatError):
-        m.hstack(MatQm.zeros(f8, 3, 1))
     with pytest.raises(FormatError):
         MatQ(f8, [[3]])  # not a subfield code

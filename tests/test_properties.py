@@ -1,5 +1,5 @@
 """Property tests: the shared decoding pipeline, the dual-code construction,
-the carried row reduction and the beyond-d-2 condition.
+the carried row reduction, the beyond-d-2 condition and the input parsers.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gab_code
-from rankmk.codes import parity_check_from_generator
+from rankmk.codes import code_spec_from_text, parity_check_from_generator
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -18,12 +18,13 @@ from rankmk.decoder import (
     decode,
     mk_hamming_decode,
 )
-from rankmk.errors import ParameterError
+from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
     MatQm,
     ext_expand,
+    mat_from_text,
     rank_q,
     rank_qm,
     rref,
@@ -190,3 +191,70 @@ def test_beyond_condition_matches_oracle_on_generic_checks(case):
     if deficient:
         assert rank_qm(h @ basis.transpose()) < basis.rows
     assert beyond_d2_condition(h, basis) == _condition_oracle(h, basis)
+
+
+# -- the input parsers ----------------------------------------------------------------
+
+# Well-formed texts over a few small fields, then up to two random edits:
+# characters of the formats and numbers past the bounds the parsers enforce.
+SMALL_FIELDS = [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (7, 2)]
+EDGES = ["-1", "1.5", "x", "2147483647", "2147483648", "2305843009213693951", "9" * 40]
+EDIT = st.text(alphabet=" =,\n-0123456789qmfkgdH", max_size=3) | st.sampled_from(EDGES)
+
+
+@st.composite
+def edited(draw, text):
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(EDIT) + text[i + draw(st.integers(0, 3)):]
+    return text
+
+
+@st.composite
+def field_lines(draw, q, m):
+    default = ExtField(q, m).modulus
+    coeffs = draw(st.just(default) | st.lists(st.integers(0, q - 1), min_size=m, max_size=m).map(lambda c: (*c, 1)))
+    return f"q={q} m={m} f={','.join(map(str, coeffs))}"
+
+
+@st.composite
+def matrix_blocks(draw, q, m):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    entry = st.integers(0, q**m - 1).map(str)
+    lines = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols).map(" ".join), min_size=rows, max_size=rows))
+    return "\n".join([f"{q} {m} {rows} {cols}", *lines])
+
+
+@st.composite
+def code_spec_blocks(draw):
+    q, m = draw(st.sampled_from(SMALL_FIELDS))
+    line = draw(field_lines(q, m))
+    g = draw(st.lists(st.integers(0, q**m - 1).map(str), max_size=m))
+    gab = f"kind=gabidulin g={','.join(g)} k={draw(st.integers(0, 4))}"
+    generic = f"kind=generic d={draw(st.integers(0, 4))} H=\n" + draw(matrix_blocks(q, m))
+    return line + "\n" + draw(st.sampled_from([gab, generic]))
+
+
+def _raises_only_input_errors(parse, text):
+    try:
+        parse(text)
+    except (FormatError, ParameterError):
+        pass
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_FIELDS).flatmap(lambda f: field_lines(*f)).flatmap(edited))
+def test_field_spec_parser_raises_only_input_errors(text):
+    _raises_only_input_errors(ExtField.from_spec, text)
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_FIELDS).flatmap(lambda f: matrix_blocks(*f)).flatmap(edited))
+def test_matrix_parser_raises_only_input_errors(text):
+    _raises_only_input_errors(mat_from_text, text)
+
+
+@PROPERTY
+@given(code_spec_blocks().flatmap(edited))
+def test_code_spec_parser_raises_only_input_errors(text):
+    _raises_only_input_errors(code_spec_from_text, text)

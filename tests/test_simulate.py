@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gab_code
+from conftest import gab_code, planted_word
 from rankmk.codes import GabidulinSpec
+from rankmk.decoder import decode
 from rankmk.errors import ParameterError
 from rankmk.fields import ExtField
-from rankmk.matrix import MatQ, MatQm, rank_q, rank_qm
+from rankmk.matrix import MatQ, MatQm, ext_expand, rank_q, rank_qm
 from rankmk.simulate import (
     SimConfig,
     SplitMix64,
+    _spans_kernel,
     count_matrices_rank,
     lo_condition_check,
     mix64,
@@ -197,6 +199,27 @@ def test_run_trials_fullrank_within_guarantee_never_fails():
     assert report.successes == 400
     assert report.miscorrections == 0
     assert report.duality_violations == 0
+
+
+def test_support_duality_check_rejects_wrong_bases():
+    code = gab_code(3, 4, 4, 1)
+    ctx = code.ctx
+    _, _, received = planted_word(code, 2, 2, 3)
+    out = decode(code.h, received, code.d)
+    assert out.success and out.b_hat.rows == 2
+    x = ext_expand(out.h_sub)
+    b1, b2 = out.b_hat.data
+    outside = next(
+        e for e in MatQ.identity(ctx, 4).data
+        if not (x @ MatQ(ctx, [e]).transpose()).is_zero()
+    )
+    both = [ctx.add(a, b) for a, b in zip(b1, b2)]
+    assert _spans_kernel(out.b_hat, x)
+    assert _spans_kernel(MatQ(ctx, [both, b2]), x)  # another basis of the same space
+    assert not _spans_kernel(MatQ(ctx, [b1]), x)  # too small
+    assert not _spans_kernel(MatQ(ctx, [b1, b1]), x)  # dependent rows
+    assert not _spans_kernel(MatQ(ctx, [b1, outside]), x)  # leaves the kernel
+    assert not _spans_kernel(MatQ(ctx, [b1, b2, outside]), x)
 
 
 def test_run_trials_gabidulin_spec_accepted():
