@@ -11,6 +11,13 @@ its operands are.
 the carried columns get the same row operations: the transform P is I
 carried, and a solve carries its right-hand side.
 
+For q = 2, `rank_q` and `right_kernel_q` run on int bit masks through one
+F_2 elimination core, `_gf2_rref`, which reduces the columns of the
+coordinate expansion.  They build no expansion: the code of an F_{2^m}
+entry already holds its m coordinate bits, so column j of `ext_expand(M)`
+is the integer sum(M[i][j] << m*i).  Every `rref` (and so odd q
+throughout) runs the generic `_eliminate`.
+
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
 `mat_from_text`.  Algorithms build their results with the unchecked
@@ -41,6 +48,8 @@ class MatQm:
             if not rows:
                 raise FormatError("column count required for matrices with zero rows")
             cols = len(rows[0])
+        if cols < 0:
+            raise FormatError(f"negative column count {cols}")
         for r in rows:
             if len(r) != cols:
                 raise FormatError("ragged rows in matrix construction")
@@ -221,44 +230,58 @@ def ext_expand(mat: MatQm) -> MatQ:
 # -- echelon forms ----------------------------------------------------------------------
 
 
-def _rref_gf2(data: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Bit-packed RREF over F_2; rows enter and leave as 0/1 lists."""
-    masks = []
-    for r in data:
-        v = 0
-        for j, a in enumerate(r):
+def _gf2_rref(masks: list[int]) -> list[int]:
+    """Reduced echelon basis of the F_2-span of int masks, sorted by pivot.
+
+    A row's pivot is its lowest set bit.  Each mask is XOR-reduced into a
+    dict keyed by pivot bit; then, from the highest pivot down, each row is
+    cleared at every higher pivot, which leaves it reduced: the rows it
+    picks up are already zero at every other pivot, and their bits all lie
+    above its own pivot.
+    """
+    rows: dict[int, int] = {}
+    for v in masks:
+        while v:
+            low = v & -v
+            r = rows.get(low)
+            if r is None:
+                rows[low] = v
+                break
+            v ^= r
+    done: list[tuple[int, int]] = []
+    for low in sorted(rows, reverse=True):
+        v = rows[low]
+        for p, r in done:
+            if v & p:
+                v ^= r
+        done.append((low, v))
+    return [v for _, v in reversed(done)]
+
+
+def _gf2_columns(mat: MatQm) -> list[int]:
+    """Columns of ext_expand(mat) over F_2 as int masks, for q = 2.
+
+    Bit m*i + k of column j is coordinate k of entry (i, j), and the code of
+    an F_{2^m} entry already holds its m coordinates, so each entry is
+    shifted in whole.  A `MatQ` packs one bit per row instead, which drops
+    only the zero rows of its expansion.
+    """
+    step = 1 if isinstance(mat, MatQ) else mat.ctx.m
+    cols = [0] * mat.cols
+    shift = 0
+    for row in mat.data:
+        for j, a in enumerate(row):
             if a:
-                v |= 1 << j
-        masks.append(v)
-    pivots = []
-    pr = 0
-    nrows = len(masks)
-    for c in range(cols):
-        bit = 1 << c
-        pivot = next((i for i in range(pr, nrows) if masks[i] & bit), None)
-        if pivot is None:
-            continue
-        masks[pr], masks[pivot] = masks[pivot], masks[pr]
-        mrow = masks[pr]
-        for i in range(nrows):
-            if i != pr and masks[i] & bit:
-                masks[i] ^= mrow
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    out = [[(v >> j) & 1 for j in range(cols)] for v in masks]
-    return out, pivots
+                cols[j] |= a << shift
+        shift += step
+    return cols
 
 
 def rref(mat: MatQm) -> tuple[MatQm, list[int]]:
     """Reduced row echelon form and its pivot columns."""
     ctx = mat.ctx
-    if ctx.q == 2 and isinstance(mat, MatQ):
-        out, pivots = _rref_gf2(mat.data, mat.cols)
-    else:
-        out = list(mat.data)
-        pivots = _eliminate(ctx, out, mat.cols)
+    out = list(mat.data)
+    pivots = _eliminate(ctx, out, mat.cols)
     return type(mat)._wrap(ctx, out, mat.cols), pivots
 
 
@@ -320,6 +343,8 @@ def rank_qm(mat: MatQm) -> int:
 
 def rank_q(mat: MatQm) -> int:
     """Rank of the coordinate expansion over the base field F_q."""
+    if mat.ctx.q == 2:
+        return len(_gf2_rref(_gf2_columns(mat)))
     if isinstance(mat, MatQ):
         return len(rref(mat)[1])
     return len(rref(ext_expand(mat))[1])
@@ -353,7 +378,14 @@ def right_kernel_q(mat: MatQ) -> MatQ:
     """Canonical (RREF) basis of {v in F_q^n : mat @ v^T = 0}."""
     if not isinstance(mat, MatQ):
         raise FormatError("right_kernel_q expects a subfield matrix; ext-expand first")
-    return right_kernel_qm(mat)
+    if mat.ctx.q != 2:
+        return right_kernel_qm(mat)
+    # Reduce the columns, each tagged with its index above them: a reduced
+    # row with no column part is, shifted down, a row of the RREF kernel basis.
+    low, n = mat.rows, mat.cols
+    tagged = [c | 1 << (low + j) for j, c in enumerate(_gf2_columns(mat))]
+    kernel = [v >> low for v in _gf2_rref(tagged) if not v & ((1 << low) - 1)]
+    return MatQ._wrap(mat.ctx, [[(v >> j) & 1 for j in range(n)] for v in kernel], n)
 
 
 def orth_complement_q(basis: MatQ) -> MatQ:

@@ -201,6 +201,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """Tallies of one run.  `bound_applies` says whether t <= d - 2, the
+    regime in which the bounds bound the success rate (None when d is
+    unknown); `duality_violations` is None when the check was off."""
+
     config: SimConfig
     successes: int
     support_failures: int
@@ -213,6 +217,7 @@ class SimReport:
     wilson_high: float
     wall_time_s: float
     duality_violations: int | None = None
+    bound_applies: bool | None = None
 
     @property
     def empirical_rate(self) -> float:
@@ -250,6 +255,8 @@ class SimReport:
             ("wilson_low", repr(self.wilson_low)),
             ("wilson_high", repr(self.wilson_high)),
             ("wall_time_s", repr(self.wall_time_s)),
+            ("bound_applies", "" if self.bound_applies is None else int(self.bound_applies)),
+            ("duality_violations", "" if self.duality_violations is None else self.duality_violations),
         ]
         return "\n".join(f"{k},{v}" for k, v in rows) + "\n"
 
@@ -320,6 +327,7 @@ def run_trials(cfg: SimConfig, check_support_duality: bool = False) -> SimReport
         wilson_high=high,
         wall_time_s=time.perf_counter() - start,
         duality_violations=duality_violations,
+        bound_applies=None if d is None else cfg.t <= d - 2,
     )
 
 

@@ -1,5 +1,6 @@
 """Property tests: the shared decoding pipeline, the dual-code construction,
-the carried row reduction, the beyond-d-2 condition and the input parsers.
+the carried row reduction, the beyond-d-2 condition, the packed F_2 rank and
+kernel, and the input parsers.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -193,6 +194,44 @@ def test_beyond_condition_matches_oracle_on_generic_checks(case):
     assert beyond_d2_condition(h, basis) == _condition_oracle(h, basis)
 
 
+# -- the packed F_2 core ----------------------------------------------------------------
+
+GF2_FIELDS = [ExtField(2, 1), ExtField(2, 2), ExtField(2, 4), ExtField(2, 10)]
+
+
+@st.composite
+def gf2_matrices(draw):
+    """A MatQ or MatQm over F_2, F_4, F_16 or F_{2^10}: random, zero, with an
+    identity block (full rank) or with a row that sums two others."""
+    ctx = draw(st.sampled_from(GF2_FIELDS))
+    subfield = draw(st.booleans())
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    element = st.integers(0, (ctx.q if subfield else ctx.order) - 1)
+    data = draw(st.lists(st.lists(element, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    shape = draw(st.sampled_from(["random", "zero", "full", "deficient"]))
+    if shape == "zero":
+        data = [[0] * cols for _ in data]
+    elif shape == "full" and rows <= cols:
+        data = [[int(i == j) for j in range(rows)] + r[rows:] for i, r in enumerate(data)]
+    elif shape == "deficient" and rows >= 2:
+        data[-1] = [a ^ b for a, b in zip(data[0], data[1])]
+    return (MatQ if subfield else MatQm)(ctx, data, cols)
+
+
+@PROPERTY
+@given(gf2_matrices())
+def test_gf2_rank_and_kernel_match_generic_elimination(mat):
+    # rank_qm and right_kernel_qm run the generic _eliminate on the expansion
+    x = ext_expand(mat)
+    rank, kernel = rank_qm(x), right_kernel_qm(x)
+    assert rank_q(mat) == rank_q(x) == rank
+    assert right_kernel_q(x) == kernel
+    if isinstance(mat, MatQ):
+        assert right_kernel_q(mat) == kernel
+    assert (x @ kernel.transpose()).is_zero()
+    assert kernel.rows == mat.cols - rank
+
+
 # -- the input parsers ----------------------------------------------------------------
 
 # Well-formed texts over a few small fields, then up to two random edits:
@@ -235,26 +274,30 @@ def code_spec_blocks(draw):
     return line + "\n" + draw(st.sampled_from([gab, generic]))
 
 
-def _raises_only_input_errors(parse, text):
+def _parse_or_none(parse, text):
+    """The parsed value, or None when the text is rejected with an input error."""
     try:
-        parse(text)
+        return parse(text)
     except (FormatError, ParameterError):
-        pass
+        return None
 
 
 @PROPERTY
 @given(st.sampled_from(SMALL_FIELDS).flatmap(lambda f: field_lines(*f)).flatmap(edited))
 def test_field_spec_parser_raises_only_input_errors(text):
-    _raises_only_input_errors(ExtField.from_spec, text)
+    _parse_or_none(ExtField.from_spec, text)
 
 
 @PROPERTY
 @given(st.sampled_from(SMALL_FIELDS).flatmap(lambda f: matrix_blocks(*f)).flatmap(edited))
 def test_matrix_parser_raises_only_input_errors(text):
-    _raises_only_input_errors(mat_from_text, text)
+    mat = _parse_or_none(mat_from_text, text)
+    if mat is not None:
+        assert mat.rows >= 0 and mat.cols >= 0
+        assert mat_from_text(mat.to_text()) == mat
 
 
 @PROPERTY
 @given(code_spec_blocks().flatmap(edited))
 def test_code_spec_parser_raises_only_input_errors(text):
-    _raises_only_input_errors(code_spec_from_text, text)
+    _parse_or_none(code_spec_from_text, text)

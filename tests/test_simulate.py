@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import gab_code, planted_word
-from rankmk.codes import GabidulinSpec
+from rankmk.codes import GabidulinSpec, LinearCodeSpec
 from rankmk.decoder import decode
 from rankmk.errors import ParameterError
 from rankmk.fields import ExtField
@@ -263,6 +263,23 @@ def test_report_csv_and_summary():
         assert any(line.startswith(key + ",") for line in csv.splitlines())
     summary = report.summary_line()
     assert summary.startswith("rate,") and " bound," in summary and " n,20 seed,3" in summary
+
+
+def test_report_marks_where_the_bound_applies():
+    # [5, 2] over F_{2^5} has d = 4: t = 3 > d - 2 is outside the bound's regime
+    code = gab_code(2, 5, 5, 2)
+    past = run_trials(SimConfig(code=code, ell=3, t=3, trials=300, seed=4))
+    assert past.bound_applies is False and past.duality_violations is None
+    lines = past.to_csv().splitlines()
+    assert "bound_applies,0" in lines and "duality_violations," in lines
+    assert past.successes == 0 and float(past.bound_product) > 0.9
+    checked = run_trials(SimConfig(code=code, ell=3, t=3, trials=300, seed=4), check_support_duality=True)
+    assert "duality_violations,0" in checked.to_csv().splitlines()
+    inside = run_trials(SimConfig(code=code, ell=3, t=2, trials=300, seed=4), check_support_duality=True)
+    assert inside.bound_applies is True
+    assert {"bound_applies,1", "duality_violations,0"} <= set(inside.to_csv().splitlines())
+    unknown_d = run_trials(SimConfig(code=LinearCodeSpec(code.h), ell=3, t=2, trials=20, seed=4))
+    assert unknown_d.bound_applies is None and "bound_applies," in unknown_d.to_csv().splitlines()
 
 
 # -- Loidreau-Overbeck success condition ----------------------------------------------
