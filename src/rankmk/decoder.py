@@ -1,20 +1,19 @@
 """Syndrome decoding of high-order interleaved codes.
 
-Both decoders run one pipeline: the syndrome, its echelon form with the
-row transform carried onto the parity-check matrix, the error support read
-off the trailing transformed rows, the erasure solve for the coefficient
-matrix, and a verification of the result.  The two metrics differ in two
-places only: how the support is read off the trailing rows, and how the
-weight of the recovered error is measured.
+Both decoders run one pipeline.  Echelonizing the syndrome S with the row
+transform P carried onto H gives P @ S = [R_top; 0] and P @ H = [T; H_sub].
+The support B is read off H_sub (the one place where the metrics differ), so
+H_sub @ B^T = 0 and the erasure system reduces to the t_hat x t_hat system
+(T @ B^T) @ A^T = R_top.  A solution has rank t_hat, as R_top has, so A @ B
+has weight t_hat in either metric: H @ C_hat^T = 0 is the one check left.
 
 `decode` is the rank-metric decoder: the support is the F_q-kernel of the
-coordinate-expanded trailing rows and the weight is the rank over F_q.  It
-is guaranteed to return the transmitted codeword whenever t <= d - 2
-errors occurred, the interleaving order is at least t, and the error
-matrix has full rank over the extension field.  `mk_hamming_decode` is the
-classic Metzner and Kapturowski (1990) decoder for column-burst errors:
-the support is the set of all-zero columns of the trailing rows and the
-weight is the number of nonzero columns.
+coordinate-expanded trailing rows.  It is guaranteed to return the
+transmitted codeword whenever t <= d - 2 errors occurred, the interleaving
+order is at least t, and the error matrix has full rank over the extension
+field.  `mk_hamming_decode` is the classic Metzner and Kapturowski (1990)
+decoder for column-burst errors: the support is the set of all-zero
+columns of the trailing rows.
 
 The decoder only ever reads the parity-check matrix, never a generator.
 All functions are pure; inputs are never mutated.
@@ -39,6 +38,13 @@ from .matrix import (
 
 
 class FailureReason(enum.Enum):
+    """Why a decode failed.  Both decoders can reach TOO_MANY_ERRORS,
+    SUPPORT_DIMENSION_MISMATCH and RANK_DEFICIENT; the last needs a nonzero
+    codeword of weight <= t_hat < n - k, so it never occurs on an MRD code.
+    INCONSISTENT is unreachable, their erasure system being square; it stays
+    for `erasure_decode` on a general system.  VERIFICATION_FAILED means
+    H @ C_hat^T != 0, the one check run on each success."""
+
     TOO_MANY_ERRORS = "too_many_errors"
     SUPPORT_DIMENSION_MISMATCH = "support_dimension_mismatch"
     RANK_DEFICIENT = "rank_deficient"
@@ -56,11 +62,13 @@ class DecodeFailure(Exception):
 
 @dataclass(frozen=True)
 class SupportRecovery:
-    """Recovered error support: trailing parity-check rows and support basis."""
+    """Recovered error support, with the echelon form it was read from."""
 
     t_hat: int
     h_sub: MatQm
     basis: MatQ  # canonical (RREF) basis of the recovered support
+    reduced: MatQm  # P @ S = [R_top; 0]
+    carried: MatQm  # P @ H = [T; H_sub]
 
 
 @dataclass(frozen=True)
@@ -85,27 +93,27 @@ def syndrome(h: MatQm, received: MatQm) -> MatQm:
     return h @ received.transpose()
 
 
-def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm]:
+def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
     """Echelonize the syndrome, carrying the row operations onto H, and
-    return (t_hat, trailing rows of P @ H): t_hat is the extension-field
-    rank of S, and the rows are the ones aligned with its zero rows."""
-    _, carried, pivots = rref_carry(synd, h)
+    return (t_hat, trailing rows of P @ H, P @ S, P @ H): t_hat is the rank
+    of S, and the trailing rows are the ones aligned with its zero rows."""
+    reduced, carried, pivots = rref_carry(synd, h)
     t_hat = len(pivots)
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
-    return t_hat, carried.submatrix(t_hat, h.rows, 0, h.cols)
+    return t_hat, carried.submatrix(t_hat, h.rows, 0, h.cols), reduced, carried
 
 
 def recover_support(h: MatQm, synd: MatQm) -> SupportRecovery:
     """Rank support of the error as the F_q-kernel of the expanded trailing rows."""
-    t_hat, h_sub = compute_hsub(h, synd)
+    t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
     basis = right_kernel_q(ext_expand(h_sub))
     if basis.rows != t_hat:
         raise DecodeFailure(
             FailureReason.SUPPORT_DIMENSION_MISMATCH,
             f"support dimension {basis.rows} != syndrome rank {t_hat}",
         )
-    return SupportRecovery(t_hat=t_hat, h_sub=h_sub, basis=basis)
+    return SupportRecovery(t_hat, h_sub, basis, reduced, carried)
 
 
 def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
@@ -121,7 +129,7 @@ def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
 
 def _burst_support(h: MatQm, synd: MatQm) -> SupportRecovery:
     """Burst support: the all-zero columns of the trailing rows, as identity rows."""
-    t_hat, h_sub = compute_hsub(h, synd)
+    t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
     positions = [j for j, col in enumerate(zip(*h_sub.data)) if not any(col)]
     if len(positions) != t_hat:
         raise DecodeFailure(
@@ -129,21 +137,15 @@ def _burst_support(h: MatQm, synd: MatQm) -> SupportRecovery:
             f"{len(positions)} zero columns != syndrome rank {t_hat}",
         )
     basis = MatQ._wrap(h.ctx, [[int(j == p) for j in range(h.cols)] for p in positions], h.cols)
-    return SupportRecovery(t_hat=t_hat, h_sub=h_sub, basis=basis)
+    return SupportRecovery(t_hat, h_sub, basis, reduced, carried)
 
 
-def _burst_weight(mat: MatQm) -> int:
-    """Hamming weight of an interleaved word: its number of nonzero columns."""
-    return sum(1 for col in zip(*mat.data) if any(col))
-
-
-def _decode(h: MatQm, received: MatQm, d: int | None, recover, weight) -> DecodeOutcome:
+def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
     """The pipeline shared by both metrics.
 
-    `recover(h, synd)` returns the SupportRecovery or raises DecodeFailure;
-    `weight(e_hat)` measures the recovered error in the decoder's metric.
-    Success requires H @ C_hat^T = 0 and weight(E_hat) = t_hat.  A failed
-    outcome keeps the failure's detail text, naming the check that failed.
+    `recover(h, synd)` returns the SupportRecovery or raises DecodeFailure.
+    Success requires H @ C_hat^T = 0.  A failed outcome keeps the failure's
+    detail text, naming the check that failed.
     """
     if h.cols != received.cols:
         raise ParameterError(
@@ -152,20 +154,17 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover, weight) -> Decode
     synd = syndrome(h, received)
     try:
         support = recover(h, synd)
-        a_hat = erasure_decode(h, synd, support.basis)
+        t_hat = support.t_hat
+        h_top = support.carried.submatrix(0, t_hat, 0, h.cols)
+        a_hat = erasure_decode(h_top, support.reduced.submatrix(0, t_hat, 0, synd.cols), support.basis)
     except DecodeFailure as failure:
         t_hat = rank_qm(synd)
         return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2, str(failure))
-    t_hat = support.t_hat
     beyond = d is not None and t_hat > d - 2
     e_hat = a_hat @ support.basis
     c_hat = received.sub(e_hat)
     if not (h @ c_hat.transpose()).is_zero():
         return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond, "H @ C_hat^T != 0")
-    w = weight(e_hat)
-    if w != t_hat:
-        detail = f"recovered error weight {w} != syndrome rank {t_hat}"
-        return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond, detail)
     return DecodeOutcome(
         success=True,
         reason=None,
@@ -184,7 +183,7 @@ def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
     The minimum rank distance `d`, when known, only sets the
     beyond_guarantee flag (t_hat > d - 2); it is not used in computation.
     """
-    return _decode(h, received, d, recover_support, rank_q)
+    return _decode(h, received, d, recover_support)
 
 
 def beyond_d2_condition(h: MatQm, basis: MatQ) -> bool:
@@ -201,7 +200,7 @@ def beyond_d2_condition(h: MatQm, basis: MatQ) -> bool:
         raise ParameterError("support basis rows must be independent over F_q")
     if t + 1 > h.rows:
         return False
-    rank, h_sub = compute_hsub(h, h @ basis.transpose())
+    rank, h_sub, _, _ = compute_hsub(h, h @ basis.transpose())
     return rank == t and right_kernel_q(ext_expand(h_sub)).rows == t
 
 
@@ -214,4 +213,4 @@ def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -
     independent over the extension field.  `d_hamming` only sets the
     beyond_guarantee flag, as `d` does for `decode`.
     """
-    return _decode(h, received, d_hamming, _burst_support, _burst_weight)
+    return _decode(h, received, d_hamming, _burst_support)

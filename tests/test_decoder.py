@@ -1,10 +1,12 @@
 """Decoder pipeline: golden fixtures, planted-instance oracles, failure taxonomy."""
 
 import copy
+import dataclasses
 
 import pytest
 
 from conftest import all_rref_bases, gab_code, planted_word
+from rankmk.codes import LinearCodeSpec
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -26,6 +28,7 @@ from rankmk.matrix import (
     rank_q,
     rank_qm,
     rref,
+    right_kernel_qm,
 )
 from rankmk.simulate import SplitMix64, rand_matrix, sample_error, sample_full_rank, trial_rng
 
@@ -74,14 +77,15 @@ def test_syndrome_equals_error_syndrome():
 
 
 def test_compute_hsub_worked_example(worked):
-    t_hat, h_sub = compute_hsub(worked["H"], worked["S"])
+    t_hat, h_sub, reduced, carried = compute_hsub(worked["H"], worked["S"])
     assert t_hat == 2 and h_sub.rows == 1
+    assert reduced == rref(worked["S"])[0] and h_sub == carried.submatrix(2, 3, 0, 5)
     # the echelonizing transform is unique only up to scaling here
     assert rref(h_sub)[0] == rref(worked["H_sub"])[0]
 
 
 def test_compute_hsub_zero_syndrome(worked):
-    t_hat, h_sub = compute_hsub(worked["H"], MatQm.zeros(worked["H"].ctx, 3, 2))
+    t_hat, h_sub, _, _ = compute_hsub(worked["H"], MatQm.zeros(worked["H"].ctx, 3, 2))
     assert t_hat == 0
     assert h_sub == worked["H"]  # P = I when nothing needs eliminating
 
@@ -90,7 +94,7 @@ def test_hsub_annihilates_error():
     code = gab_code(2, 5, 5, 2)
     for seed in range(10):
         word, err, received = planted_word(code, 2, 2, seed)
-        _, h_sub = compute_hsub(code.h, syndrome(code.h, received))
+        _, h_sub, _, _ = compute_hsub(code.h, syndrome(code.h, received))
         assert (h_sub @ err.transpose()).is_zero()
 
 
@@ -211,10 +215,18 @@ def test_failure_detail_is_kept():
     word, _, received = planted_word(code, 3, 2, 5)
     out = decode(code.h, received, code.d)
     assert out.success and out.detail == ""
-    # A weight that disagrees with t_hat must name the weight check.
-    out = _decode(code.h, received, code.d, recover_support, lambda e: rank_q(e) + 1)
+    # A support outside ker(H_sub) passes the square erasure solve but leaves
+    # H @ C_hat^T nonzero: the parity check must catch it and say so.
+    wrong = MatQ(code.ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+
+    def off_kernel(h, synd):
+        support = recover_support(h, synd)
+        assert not (support.h_sub @ wrong.transpose()).is_zero()
+        return dataclasses.replace(support, basis=wrong)
+
+    out = _decode(code.h, received, code.d, off_kernel)
     assert out.reason is FailureReason.VERIFICATION_FAILED
-    assert out.detail == "recovered error weight 3 != syndrome rank 2"
+    assert out.detail == "H @ C_hat^T != 0"
 
 
 def test_decode_rank_deficient_error_never_miscorrects():
@@ -237,6 +249,23 @@ def test_decode_rank_deficient_error_never_miscorrects():
         else:
             reasons.add(out.reason)
     assert reasons  # the violated full-rank condition must actually surface
+
+
+def test_rank_deficient_needs_a_low_weight_codeword():
+    # RANK_DEFICIENT means T @ B_hat^T is singular, which takes a nonzero
+    # codeword of weight <= t_hat in the support.  This random [4, 1] code
+    # over F_16 holds one of Hamming weight 2; an MRD code never does (see
+    # test_success_has_the_syndrome_rank_as_weight).
+    ctx = ExtField(2, 4)
+    rng = SplitMix64(10)
+    spec = LinearCodeSpec(h=rand_matrix(rng, ctx, 3, 4))
+    (codeword,) = right_kernel_qm(spec.h).data
+    assert sum(1 for a in codeword if a) == 2
+    received = [rand_matrix(rng, ctx, 2, 4) for _ in range(8)][-1]
+    for dec in (decode, mk_hamming_decode):
+        out = dec(spec.h, received)
+        assert (out.reason, out.t_hat) == (FailureReason.RANK_DEFICIENT, 2)
+        assert out.detail == "coefficient matrix has column rank 1 < 2"
 
 
 def test_decode_support_duality_on_success():

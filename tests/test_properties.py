@@ -1,6 +1,6 @@
-"""Property tests: the shared decoding pipeline, the dual-code construction,
-the carried row reduction, the beyond-d-2 condition, the packed F_2 rank and
-kernel, and the input parsers.
+"""Property tests: the shared decoding pipeline and its success condition,
+the dual-code construction, the carried row reduction, the beyond-d-2
+condition, the packed F_2 rank and kernel, and the input parsers.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -80,6 +80,58 @@ def test_rank_and_burst_decoders_agree_on_bursts(burst):
         assert out_r.b_hat == out_h.b_hat
 
 
+GAB_CODES = [gab_code(2, 4, 4, 1), gab_code(3, 3, 3, 1), CODE]
+GENERIC_FIELDS = [(2, 2), (2, 4), (3, 2)]
+
+
+@st.composite
+def decoding_instances(draw):
+    """(H, received, gabidulin): a Gabidulin code or a random full-row-rank
+    generic one, and one draw in four a uniformly random word, else a
+    codeword plus A @ B with B over F_q of t <= n - k rows."""
+    gabidulin = draw(st.booleans())
+    if gabidulin:
+        code = draw(st.sampled_from(GAB_CODES))
+        h, gen = code.h, code.gen
+    else:
+        ctx = ExtField(*draw(st.sampled_from(GENERIC_FIELDS)))
+        n = draw(st.integers(2, 5))
+        r = draw(st.integers(1, n - 1))
+        element = st.integers(0, ctx.order - 1)
+        h = MatQm(ctx, draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=r, max_size=r)))
+        assume(rank_qm(h) == r)
+        gen = right_kernel_qm(h)
+    ctx, n = h.ctx, h.cols
+
+    def matrix(rows, cols, bound):
+        entries = st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols)
+        return MatQm(ctx, draw(st.lists(entries, min_size=rows, max_size=rows)), cols)
+
+    ell = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        return h, matrix(ell, n, ctx.order), gabidulin
+    t = draw(st.integers(0, h.rows))
+    word = matrix(ell, gen.rows, ctx.order) @ gen
+    err = matrix(ell, t, ctx.order) @ matrix(t, n, ctx.q)
+    return h, word.add(err), gabidulin
+
+
+@settings(PROPERTY, max_examples=300)
+@given(decoding_instances())
+def test_success_has_the_syndrome_rank_as_weight(case):
+    # The decoders check only H @ C_hat^T = 0 at run time; the weight of the
+    # removed error equals t_hat by the algebra, and this property holds it.
+    h, received, gabidulin = case
+    for dec, weight in ((decode, rank_q), (mk_hamming_decode, _burst_weight)):
+        out = dec(h, received)
+        assert out.reason is not FailureReason.INCONSISTENT
+        if gabidulin:  # MRD: no nonzero codeword of weight <= t_hat < n - k
+            assert out.reason is not FailureReason.RANK_DEFICIENT
+        if out.success:
+            assert (h @ out.c_hat.transpose()).is_zero()
+            assert weight(received.sub(out.c_hat)) == out.t_hat
+
+
 FIELDS = [(2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (7, 2)]
 
 
@@ -151,9 +203,10 @@ def test_carried_rows_are_the_transform_applied(case):
             compute_hsub(h, synd)
         assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
         return
-    t_hat, h_sub = compute_hsub(h, synd)
+    t_hat, h_sub, reduced_h, carried_h = compute_hsub(h, synd)
     assert t_hat == len(pivots) == rank_qm(synd)
     assert h_sub == trans.submatrix(t_hat, h.rows, 0, h.rows) @ h
+    assert (reduced_h, carried_h) == (reduced, carried)
 
 
 CONDITION_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
