@@ -36,7 +36,6 @@ from .matrix import (
     MatQm,
     ext_expand,
     mat_from_text,
-    orth_complement_q,
     rank_q,
     rank_qm,
     right_kernel_q,

@@ -28,7 +28,6 @@ from .errors import InconsistentSystemError, ParameterError, RankDeficientError
 from .matrix import (
     MatQ,
     MatQm,
-    ext_expand,
     rank_q,
     rank_qm,
     rref_carry,
@@ -107,7 +106,7 @@ def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
 def recover_support(h: MatQm, synd: MatQm) -> SupportRecovery:
     """Rank support of the error as the F_q-kernel of the expanded trailing rows."""
     t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
-    basis = right_kernel_q(ext_expand(h_sub))
+    basis = right_kernel_q(h_sub)
     if basis.rows != t_hat:
         raise DecodeFailure(
             FailureReason.SUPPORT_DIMENSION_MISMATCH,
@@ -201,7 +200,7 @@ def beyond_d2_condition(h: MatQm, basis: MatQ) -> bool:
     if t + 1 > h.rows:
         return False
     rank, h_sub, _, _ = compute_hsub(h, h @ basis.transpose())
-    return rank == t and right_kernel_q(ext_expand(h_sub)).rows == t
+    return rank == t and right_kernel_q(h_sub).rows == t
 
 
 def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -> DecodeOutcome:

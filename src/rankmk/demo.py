@@ -10,6 +10,7 @@ stored as powers of alpha for the primitive polynomial x^5 + x^2 + 1.
 from __future__ import annotations
 
 from .decoder import decode, syndrome
+from .errors import ParameterError
 from .fields import ExtField
 from .matrix import MatQ, MatQm, ext_expand, rref
 
@@ -71,7 +72,8 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
 
     Returns 0 when every stage matches its expected value; otherwise prints
     the first mismatching stage and returns 1.  `tamper=(i, j, delta)` adds
-    delta to R[i, j] before decoding, which must make the run fail.
+    delta to R[i, j] before decoding, which must make the run fail; a
+    position outside R raises ParameterError.
     """
     import sys
 
@@ -80,6 +82,9 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
     ctx, h, received = fx["ctx"], fx["H"], fx["R"]
     if tamper is not None:
         i, j, delta = tamper
+        if not (0 <= i < received.rows and 0 <= j < received.cols):
+            shape = f"{received.rows}x{received.cols}"
+            raise ParameterError(f"tamper position ({i}, {j}) is outside R's {shape} shape")
         data = [list(r) for r in received.data]
         data[i][j] = ctx.add(data[i][j], delta % ctx.order)
         received = MatQm(ctx, data)

@@ -11,12 +11,13 @@ its operands are.
 the carried columns get the same row operations: the transform P is I
 carried, and a solve carries its right-hand side.
 
-For q = 2, `rank_q` and `right_kernel_q` run on int bit masks through one
-F_2 elimination core, `_gf2_rref`, which reduces the columns of the
-coordinate expansion.  They build no expansion: the code of an F_{2^m}
-entry already holds its m coordinate bits, so column j of `ext_expand(M)`
-is the integer sum(M[i][j] << m*i).  Every `rref` (and so odd q
-throughout) runs the generic `_eliminate`.
+`rank_q` and `right_kernel_q` take any matrix and read its F_q view
+themselves: a `MatQ` is its own, an F_{q^m} matrix has `ext_expand`.  For
+q = 2 both reduce the columns of that view as int bit masks in one F_2
+core, `_gf2_rref`, and build no expansion: the code of an F_{2^m} entry
+already holds its m coordinate bits, so column j of `ext_expand(M)` is the
+integer sum(M[i][j] << m*i).  Every `rref` (and so odd q throughout) runs
+the generic `_eliminate`.
 
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
@@ -90,10 +91,6 @@ class MatQm:
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise FormatError("submatrix range out of bounds")
         return type(self)._wrap(self.ctx, [r[c0:c1] for r in self.data[r0:r1]], c1 - c0)
-
-    def vstack(self, other: "MatQm") -> "MatQm":
-        self._conformable(other, cols=True)
-        return _result_type(self, other)._wrap(self.ctx, self.data + other.data, self.cols)
 
     def _conformable(self, other: "MatQm", rows: bool = False, cols: bool = False) -> None:
         if self.ctx != other.ctx:
@@ -258,8 +255,8 @@ def _gf2_rref(masks: list[int]) -> list[int]:
     return [v for _, v in reversed(done)]
 
 
-def _gf2_columns(mat: MatQm) -> list[int]:
-    """Columns of ext_expand(mat) over F_2 as int masks, for q = 2.
+def _gf2_columns(mat: MatQm) -> tuple[list[int], int]:
+    """Columns of the F_2 view of mat as int masks, and their bit width, for q = 2.
 
     Bit m*i + k of column j is coordinate k of entry (i, j), and the code of
     an F_{2^m} entry already holds its m coordinates, so each entry is
@@ -274,7 +271,7 @@ def _gf2_columns(mat: MatQm) -> list[int]:
             if a:
                 cols[j] |= a << shift
         shift += step
-    return cols
+    return cols, shift
 
 
 def rref(mat: MatQm) -> tuple[MatQm, list[int]]:
@@ -344,10 +341,8 @@ def rank_qm(mat: MatQm) -> int:
 def rank_q(mat: MatQm) -> int:
     """Rank of the coordinate expansion over the base field F_q."""
     if mat.ctx.q == 2:
-        return len(_gf2_rref(_gf2_columns(mat)))
-    if isinstance(mat, MatQ):
-        return len(rref(mat)[1])
-    return len(rref(ext_expand(mat))[1])
+        return len(_gf2_rref(_gf2_columns(mat)[0]))
+    return len(rref(mat if isinstance(mat, MatQ) else ext_expand(mat))[1])
 
 
 # -- kernels and complements ----------------------------------------------------------------
@@ -374,23 +369,18 @@ def right_kernel_qm(mat: MatQm) -> MatQm:
     return rref(basis)[0] if rows else basis
 
 
-def right_kernel_q(mat: MatQ) -> MatQ:
-    """Canonical (RREF) basis of {v in F_q^n : mat @ v^T = 0}."""
-    if not isinstance(mat, MatQ):
-        raise FormatError("right_kernel_q expects a subfield matrix; ext-expand first")
+def right_kernel_q(mat: MatQm) -> MatQ:
+    """Canonical (RREF) basis of {v in F_q^n : mat @ v^T = 0}: for v over
+    F_q, the kernel of ext_expand(mat), whether mat is a `MatQ` or not."""
     if mat.ctx.q != 2:
-        return right_kernel_qm(mat)
+        return right_kernel_qm(mat if isinstance(mat, MatQ) else ext_expand(mat))
     # Reduce the columns, each tagged with its index above them: a reduced
     # row with no column part is, shifted down, a row of the RREF kernel basis.
-    low, n = mat.rows, mat.cols
-    tagged = [c | 1 << (low + j) for j, c in enumerate(_gf2_columns(mat))]
+    columns, low = _gf2_columns(mat)
+    n = mat.cols
+    tagged = [c | 1 << (low + j) for j, c in enumerate(columns)]
     kernel = [v >> low for v in _gf2_rref(tagged) if not v & ((1 << low) - 1)]
     return MatQ._wrap(mat.ctx, [[(v >> j) & 1 for j in range(n)] for v in kernel], n)
-
-
-def orth_complement_q(basis: MatQ) -> MatQ:
-    """Canonical basis of the dual space {v : basis @ v^T = 0} in F_q^n."""
-    return right_kernel_q(basis)
 
 
 # -- linear solving ----------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .codes import GabidulinSpec, LinearCodeSpec, moore_matrix, resolve_code
 from .decoder import FailureReason, decode
 from .errors import ParameterError
 from .fields import ExtField
-from .matrix import MatQ, MatQm, ext_expand, rank_q, rank_qm
+from .matrix import MatQ, MatQm, rank_q, rank_qm
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -271,10 +271,11 @@ _SUPPORT_REASONS = (FailureReason.TOO_MANY_ERRORS, FailureReason.SUPPORT_DIMENSI
 _ERASURE_REASONS = (FailureReason.RANK_DEFICIENT, FailureReason.INCONSISTENT)
 
 
-def _spans_kernel(basis: MatQ, x: MatQ) -> bool:
+def _spans_kernel(basis: MatQ, x: MatQm) -> bool:
     """Whether the rows of `basis` span the F_q-kernel of x, checked without
-    computing a kernel: x @ basis^T = 0 puts the rows inside it, and
-    rank(basis) = rows = n - rank(x) (rank-nullity) makes them fill it."""
+    computing a kernel: x @ basis^T = 0 puts the rows inside it (for rows
+    over F_q, exactly when ext_expand(x) @ basis^T = 0), and
+    rank(basis) = rows = n - rank_q(x) (rank-nullity) makes them fill it."""
     if not (x @ basis.transpose()).is_zero():
         return False
     return rank_q(basis) == basis.rows == x.cols - rank_q(x)
@@ -305,7 +306,7 @@ def run_trials(cfg: SimConfig, check_support_duality: bool = False) -> SimReport
                 successes += 1
             else:
                 miscorrections += 1
-            if check_support_duality and not _spans_kernel(outcome.b_hat, ext_expand(outcome.h_sub)):
+            if check_support_duality and not _spans_kernel(outcome.b_hat, outcome.h_sub):
                 duality_violations += 1
         elif outcome.reason in _SUPPORT_REASONS:
             support_f += 1

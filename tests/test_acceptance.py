@@ -16,9 +16,9 @@ from rankmk.matrix import (
     MatQ,
     MatQm,
     ext_expand,
-    orth_complement_q,
     rank_q,
     rank_qm,
+    right_kernel_qm,
     rref,
 )
 from rankmk.simulate import (
@@ -95,7 +95,7 @@ def exhaustion():
                 total += 1
                 if not (outcome.success and outcome.c_hat == word and outcome.b_hat == basis):
                     failures += 1
-                elif orth_complement_q(ext_expand(outcome.h_sub)) != outcome.b_hat:
+                elif right_kernel_qm(ext_expand(outcome.h_sub)) != outcome.b_hat:
                     duality_failures += 1
     return dict(
         total=total, failures=failures, duality_failures=duality_failures,
@@ -235,7 +235,7 @@ def test_criterion_5_counting_identity():
 
 def test_criterion_6_support_duality(golden, exhaustion, bound_report, high_rate_report):
     g_out = golden["outcome"]
-    golden_ok = orth_complement_q(ext_expand(g_out.h_sub)) == g_out.b_hat
+    golden_ok = right_kernel_qm(ext_expand(g_out.h_sub)) == g_out.b_hat
     ok = (
         golden_ok
         and exhaustion["duality_failures"] == 0

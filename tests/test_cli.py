@@ -114,6 +114,9 @@ def test_parameter_error_exit_codes(tmp_path, msg_file, capsys):
     assert run("bogus-subcommand") == 4
     assert run("bench") == 4  # retired: timing lives in rankbench/
     capsys.readouterr()
+    for position in ("9,9,1", "0,-1,1", "2,0,1", "0,5,1"):  # R is 2x5: no IndexError, no wrapped index
+        assert run("demo", f"--tamper={position}", "--quiet") == 4
+        assert "outside R's 2x5 shape" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -24,7 +24,6 @@ from rankmk.matrix import (
     MatQ,
     MatQm,
     ext_expand,
-    orth_complement_q,
     rank_q,
     rank_qm,
     rref,
@@ -274,7 +273,7 @@ def test_decode_support_duality_on_success():
         word, err, received = planted_word(code, 2, 2, seed)
         out = decode(code.h, received, code.d)
         assert out.success
-        dual = orth_complement_q(ext_expand(out.h_sub))
+        dual = right_kernel_qm(ext_expand(out.h_sub))
         assert dual == out.b_hat
 
 
@@ -323,7 +322,7 @@ def test_decode_odd_characteristic():
         word, err, received = planted_word(code, 2, 2, seed)
         out = decode(code.h, received, code.d)
         assert out.success and out.c_hat == word
-        assert orth_complement_q(ext_expand(out.h_sub)) == out.b_hat
+        assert right_kernel_qm(ext_expand(out.h_sub)) == out.b_hat
 
 
 def test_heterogeneous_rows_decode_with_supercode():
@@ -337,7 +336,7 @@ def test_heterogeneous_rows_decode_with_supercode():
     for _ in range(10):
         row1 = rand_matrix(rng, ctx, 1, 1) @ sub_code.gen
         row2 = rand_matrix(rng, ctx, 1, 2) @ super_code.gen
-        word = row1.vstack(row2)
+        word = MatQm(ctx, row1.data + row2.data)
         err, _, _ = sample_error(rng, ctx, 2, 5, 2, "fullrank")
         out = decode(super_code.h, word.add(err), super_code.d)
         assert out.success and out.c_hat == word

@@ -1,12 +1,13 @@
 """Property tests: the shared decoding pipeline and its success condition,
 the dual-code construction, the carried row reduction, the beyond-d-2
-condition, the packed F_2 rank and kernel, and the input parsers.
+condition, the F_q rank and kernel on both matrix types, and the input
+parsers.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gab_code
@@ -247,16 +248,17 @@ def test_beyond_condition_matches_oracle_on_generic_checks(case):
     assert beyond_d2_condition(h, basis) == _condition_oracle(h, basis)
 
 
-# -- the packed F_2 core ----------------------------------------------------------------
+# -- the F_q view: the packed F_2 core and odd q ------------------------------------------
 
 GF2_FIELDS = [ExtField(2, 1), ExtField(2, 2), ExtField(2, 4), ExtField(2, 10)]
+ODD_FIELDS = [ExtField(3, 2), ExtField(3, 4)]
 
 
 @st.composite
-def gf2_matrices(draw):
-    """A MatQ or MatQm over F_2, F_4, F_16 or F_{2^10}: random, zero, with an
-    identity block (full rank) or with a row that sums two others."""
-    ctx = draw(st.sampled_from(GF2_FIELDS))
+def view_matrices(draw):
+    """A MatQ or MatQm over F_2, F_4, F_16, F_{2^10}, F_9 or F_81: random,
+    zero, with an identity block (full rank) or with a row that sums two others."""
+    ctx = draw(st.sampled_from(GF2_FIELDS + ODD_FIELDS))
     subfield = draw(st.booleans())
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     element = st.integers(0, (ctx.q if subfield else ctx.order) - 1)
@@ -267,20 +269,20 @@ def gf2_matrices(draw):
     elif shape == "full" and rows <= cols:
         data = [[int(i == j) for j in range(rows)] + r[rows:] for i, r in enumerate(data)]
     elif shape == "deficient" and rows >= 2:
-        data[-1] = [a ^ b for a, b in zip(data[0], data[1])]
+        data[-1] = [ctx.add(a, b) for a, b in zip(data[0], data[1])]
     return (MatQ if subfield else MatQm)(ctx, data, cols)
 
 
 @PROPERTY
-@given(gf2_matrices())
-def test_gf2_rank_and_kernel_match_generic_elimination(mat):
+@given(view_matrices())
+@example(MatQm.zeros(ODD_FIELDS[0], 0, 3))
+@example(MatQm.zeros(ODD_FIELDS[1], 0, 0))
+def test_rank_and_kernel_q_match_generic_elimination(mat):
     # rank_qm and right_kernel_qm run the generic _eliminate on the expansion
     x = ext_expand(mat)
     rank, kernel = rank_qm(x), right_kernel_qm(x)
     assert rank_q(mat) == rank_q(x) == rank
-    assert right_kernel_q(x) == kernel
-    if isinstance(mat, MatQ):
-        assert right_kernel_q(mat) == kernel
+    assert right_kernel_q(mat) == right_kernel_q(x) == kernel
     assert (x @ kernel.transpose()).is_zero()
     assert kernel.rows == mat.cols - rank
 

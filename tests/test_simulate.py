@@ -207,19 +207,19 @@ def test_support_duality_check_rejects_wrong_bases():
     _, _, received = planted_word(code, 2, 2, 3)
     out = decode(code.h, received, code.d)
     assert out.success and out.b_hat.rows == 2
-    x = ext_expand(out.h_sub)
     b1, b2 = out.b_hat.data
     outside = next(
         e for e in MatQ.identity(ctx, 4).data
-        if not (x @ MatQ(ctx, [e]).transpose()).is_zero()
+        if not (out.h_sub @ MatQ(ctx, [e]).transpose()).is_zero()
     )
     both = [ctx.add(a, b) for a, b in zip(b1, b2)]
-    assert _spans_kernel(out.b_hat, x)
-    assert _spans_kernel(MatQ(ctx, [both, b2]), x)  # another basis of the same space
-    assert not _spans_kernel(MatQ(ctx, [b1]), x)  # too small
-    assert not _spans_kernel(MatQ(ctx, [b1, b1]), x)  # dependent rows
-    assert not _spans_kernel(MatQ(ctx, [b1, outside]), x)  # leaves the kernel
-    assert not _spans_kernel(MatQ(ctx, [b1, b2, outside]), x)
+    for x in (out.h_sub, ext_expand(out.h_sub)):  # as run_trials passes it, and expanded
+        assert _spans_kernel(out.b_hat, x)
+        assert _spans_kernel(MatQ(ctx, [both, b2]), x)  # another basis of the same space
+        assert not _spans_kernel(MatQ(ctx, [b1]), x)  # too small
+        assert not _spans_kernel(MatQ(ctx, [b1, b1]), x)  # dependent rows
+        assert not _spans_kernel(MatQ(ctx, [b1, outside]), x)  # leaves the kernel
+        assert not _spans_kernel(MatQ(ctx, [b1, b2, outside]), x)
 
 
 def test_run_trials_gabidulin_spec_accepted():
