@@ -9,9 +9,7 @@ harness for success-rate measurement.
 from .codes import (
     GabidulinSpec,
     LinearCodeSpec,
-    encode_interleaved,
     gabidulin_generator,
-    linear_code_from_gabidulin,
     min_rank_distance_exhaustive,
     moore_matrix,
     parity_check_from_generator,
@@ -20,7 +18,6 @@ from .codes import (
 from .decoder import (
     DecodeOutcome,
     FailureReason,
-    SupportRecovery,
     beyond_d2_condition,
     compute_hsub,
     decode,

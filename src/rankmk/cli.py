@@ -13,13 +13,7 @@ import sys
 from pathlib import Path
 
 from . import demo as demo_mod
-from .codes import (
-    GabidulinSpec,
-    LinearCodeSpec,
-    code_spec_from_text,
-    encode_interleaved,
-    resolve_code,
-)
+from .codes import GabidulinSpec, LinearCodeSpec, code_spec_from_text, resolve_code
 from .decoder import decode
 from .errors import FormatError, ParameterError
 from .fields import ExtField
@@ -35,10 +29,6 @@ EXIT_PARAMETER = 4
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are parameter errors (exit 4)
         raise ParameterError(message)
-
-
-def _parse_field(text: str) -> ExtField:
-    return ExtField.from_spec(text)
 
 
 def _parse_inline_code(text: str, ctx: ExtField | None) -> GabidulinSpec:
@@ -59,7 +49,7 @@ def _parse_inline_code(text: str, ctx: ExtField | None) -> GabidulinSpec:
 
 
 def _load_code(args) -> LinearCodeSpec:
-    ctx = _parse_field(args.field) if getattr(args, "field", None) else None
+    ctx = ExtField.from_spec(args.field) if getattr(args, "field", None) else None
     if getattr(args, "code_file", None):
         spec = code_spec_from_text(Path(args.code_file).read_text())
         if ctx is not None and spec.ctx != ctx:
@@ -98,12 +88,12 @@ def cmd_encode(args) -> int:
     msg = _read_matrix(args.message, ctx=code.ctx)
     if msg.cols != code.k:
         raise ParameterError(f"message has {msg.cols} columns, code dimension is {code.k}")
-    _write(args.out, encode_interleaved(code.gen, msg).to_text())
+    _write(args.out, (msg @ code.gen).to_text())
     return EXIT_OK
 
 
 def cmd_corrupt(args) -> int:
-    ctx = _parse_field(args.field) if args.field else None
+    ctx = ExtField.from_spec(args.field) if args.field else None
     word = _read_matrix(args.infile, ctx=ctx)
     rng = trial_rng(args.seed, 0)
     err, _, _ = sample_error(rng, word.ctx, word.rows, word.cols, args.t, args.mode)

@@ -108,28 +108,13 @@ def parity_check_from_generator(gen: MatQm) -> MatQm:
     return h
 
 
-def linear_code_from_gabidulin(spec: GabidulinSpec) -> LinearCodeSpec:
-    gen = gabidulin_generator(spec)
-    return LinearCodeSpec(h=parity_check_from_generator(gen), d=spec.d, gen=gen)
-
-
-def generator_from_parity_check(h: MatQm) -> MatQm:
-    """Canonical generator (RREF kernel basis) of the code with parity check h."""
-    return right_kernel_qm(h)
-
-
-def encode_interleaved(gen: MatQm, msg: MatQm) -> MatQm:
-    """Stack of ell constituent codewords: C = msg @ gen, msg is ell x k."""
-    return msg @ gen
-
-
 def min_rank_distance_exhaustive(spec: GabidulinSpec | LinearCodeSpec) -> int:
     """Exact minimum rank distance by enumerating all nonzero codewords."""
     if isinstance(spec, GabidulinSpec):
         ctx, gen = spec.ctx, gabidulin_generator(spec)
     else:
         ctx = spec.ctx
-        gen = spec.gen if spec.gen is not None else generator_from_parity_check(spec.h)
+        gen = spec.gen if spec.gen is not None else right_kernel_qm(spec.h)
     k, order = gen.rows, ctx.order
     if order**k > ENUM_LIMIT:
         raise ParameterError(f"enumeration of {order}^{k} codewords exceeds the size guard")
@@ -196,7 +181,8 @@ def code_spec_from_text(text: str) -> GabidulinSpec | LinearCodeSpec:
 def resolve_code(spec: GabidulinSpec | LinearCodeSpec) -> LinearCodeSpec:
     """Normalize either spec kind to a LinearCodeSpec with a generator attached."""
     if isinstance(spec, GabidulinSpec):
-        return linear_code_from_gabidulin(spec)
+        gen = gabidulin_generator(spec)
+        return LinearCodeSpec(h=parity_check_from_generator(gen), d=spec.d, gen=gen)
     if spec.gen is None:
-        return LinearCodeSpec(h=spec.h, d=spec.d, gen=generator_from_parity_check(spec.h))
+        return LinearCodeSpec(h=spec.h, d=spec.d, gen=right_kernel_qm(spec.h))
     return spec

@@ -2,7 +2,8 @@
 
 Both decoders run one pipeline.  Echelonizing the syndrome S with the row
 transform P carried onto H gives P @ S = [R_top; 0] and P @ H = [T; H_sub].
-The support B is read off H_sub (the one place where the metrics differ), so
+Each metric has one support step, (H_sub, t_hat) -> basis of B; it is the
+one place where the metrics differ.  It reads B off H_sub, so
 H_sub @ B^T = 0 and the erasure system reduces to the t_hat x t_hat system
 (T @ B^T) @ A^T = R_top.  A solution has rank t_hat, as R_top has, so A @ B
 has weight t_hat in either metric: H @ C_hat^T = 0 is the one check left.
@@ -60,17 +61,6 @@ class DecodeFailure(Exception):
 
 
 @dataclass(frozen=True)
-class SupportRecovery:
-    """Recovered error support, with the echelon form it was read from."""
-
-    t_hat: int
-    h_sub: MatQm
-    basis: MatQ  # canonical (RREF) basis of the recovered support
-    reduced: MatQm  # P @ S = [R_top; 0]
-    carried: MatQm  # P @ H = [T; H_sub]
-
-
-@dataclass(frozen=True)
 class DecodeOutcome:
     success: bool
     reason: FailureReason | None
@@ -103,16 +93,16 @@ def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
     return t_hat, carried.submatrix(t_hat, h.rows, 0, h.cols), reduced, carried
 
 
-def recover_support(h: MatQm, synd: MatQm) -> SupportRecovery:
-    """Rank support of the error as the F_q-kernel of the expanded trailing rows."""
-    t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
+def recover_support(h_sub: MatQm, t_hat: int) -> MatQ:
+    """Rank support of the error: the canonical basis of the F_q-kernel of
+    the expanded trailing rows, which must have dimension t_hat."""
     basis = right_kernel_q(h_sub)
     if basis.rows != t_hat:
         raise DecodeFailure(
             FailureReason.SUPPORT_DIMENSION_MISMATCH,
             f"support dimension {basis.rows} != syndrome rank {t_hat}",
         )
-    return SupportRecovery(t_hat, h_sub, basis, reduced, carried)
+    return basis
 
 
 def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
@@ -126,25 +116,24 @@ def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
         raise DecodeFailure(FailureReason.INCONSISTENT, str(exc)) from exc
 
 
-def _burst_support(h: MatQm, synd: MatQm) -> SupportRecovery:
+def _burst_support(h_sub: MatQm, t_hat: int) -> MatQ:
     """Burst support: the all-zero columns of the trailing rows, as identity rows."""
-    t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
     positions = [j for j, col in enumerate(zip(*h_sub.data)) if not any(col)]
     if len(positions) != t_hat:
         raise DecodeFailure(
             FailureReason.SUPPORT_DIMENSION_MISMATCH,
             f"{len(positions)} zero columns != syndrome rank {t_hat}",
         )
-    basis = MatQ._wrap(h.ctx, [[int(j == p) for j in range(h.cols)] for p in positions], h.cols)
-    return SupportRecovery(t_hat, h_sub, basis, reduced, carried)
+    n = h_sub.cols
+    return MatQ._wrap(h_sub.ctx, [[int(j == p) for j in range(n)] for p in positions], n)
 
 
 def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
-    """The pipeline shared by both metrics.
-
-    `recover(h, synd)` returns the SupportRecovery or raises DecodeFailure.
-    Success requires H @ C_hat^T = 0.  A failed outcome keeps the failure's
-    detail text, naming the check that failed.
+    """The pipeline shared by both metrics: syndrome, `compute_hsub`, the
+    metric's support step `recover(h_sub, t_hat)`, which returns the support
+    basis B or raises DecodeFailure, and the square erasure solve on the
+    leading rows.  Success requires H @ C_hat^T = 0.  A failed outcome keeps
+    the failure's detail text, naming the check that failed.
     """
     if h.cols != received.cols:
         raise ParameterError(
@@ -152,16 +141,17 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
         )
     synd = syndrome(h, received)
     try:
-        support = recover(h, synd)
-        t_hat = support.t_hat
-        h_top = support.carried.submatrix(0, t_hat, 0, h.cols)
-        a_hat = erasure_decode(h_top, support.reduced.submatrix(0, t_hat, 0, synd.cols), support.basis)
+        t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
+        basis = recover(h_sub, t_hat)
+        r_top = reduced.submatrix(0, t_hat, 0, synd.cols)
+        a_hat = erasure_decode(carried.submatrix(0, t_hat, 0, h.cols), r_top, basis)
     except DecodeFailure as failure:
+        # Recomputed even where compute_hsub found t_hat: rankbench times this
+        # rank_qm as the failure path's own stage (rankbench/NOTES.md).
         t_hat = rank_qm(synd)
         return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2, str(failure))
     beyond = d is not None and t_hat > d - 2
-    e_hat = a_hat @ support.basis
-    c_hat = received.sub(e_hat)
+    c_hat = received.sub(a_hat @ basis)
     if not (h @ c_hat.transpose()).is_zero():
         return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond, "H @ C_hat^T != 0")
     return DecodeOutcome(
@@ -170,8 +160,8 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
         t_hat=t_hat,
         c_hat=c_hat,
         a_hat=a_hat,
-        b_hat=support.basis,
-        h_sub=support.h_sub,
+        b_hat=basis,
+        h_sub=h_sub,
         beyond_guarantee=beyond,
     )
 

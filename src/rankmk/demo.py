@@ -36,9 +36,6 @@ _EXT_H_SUB = [
 _B = [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]]
 _A = [[3, 1], [1, 2]]
 
-STAGES = ("S", "rref(S)", "H_sub", "ext(H_sub)", "B", "A", "C")
-
-
 def _alpha_mat(ctx: ExtField, rows) -> MatQm:
     return MatQm(ctx, [[0 if e is None else ctx.alpha_pow(e) for e in r] for r in rows])
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import FormatError, ParameterError
 
-# Largest field for which log/exp tables (and dlog/alpha_pow) are supported.
+# Largest field for which log/exp tables (and alpha_pow) are supported.
 TABLE_LIMIT = 2**20
 
 # Default field polynomial per (q, m): coefficient tuples, constant term
@@ -76,6 +76,24 @@ def _prime_factors(n: int) -> list[int]:
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
+
+
+def _check_q_m(q: int, m: int) -> None:
+    """Reject a base field size that is not a prime below 2^31 (which keeps
+    the trial-division primality test under 46k steps) or a degree m < 1."""
+    if q >= 2**31:
+        raise ParameterError(f"base field size q={q} exceeds the supported bound 2^31")
+    if not _is_prime(q):
+        raise ParameterError(f"base field size q={q} must be prime")
+    if m < 1:
+        raise ParameterError(f"extension degree m={m} must be >= 1")
+
+
+def _check_rabin_size(q: int, m: int) -> None:
+    """Reject q^(m/2) > 2^16, past what the irreducibility test supports.
+    For a prime q, m // 2 > 16 implies it, so a huge m costs no power."""
+    if m // 2 > 16 or q ** (m // 2) > 2**16:
+        raise ParameterError("irreducibility check supports q^(m/2) <= 2^16")
 
 
 def _int_to_digits(code: int, q: int, length: int) -> tuple[int, ...]:
@@ -134,12 +152,7 @@ class ExtField:
     """
 
     def __init__(self, q: int, m: int, modulus: Sequence[int] | None = None):
-        if q >= 2**31:  # keeps the trial-division primality test under 46k steps
-            raise ParameterError(f"base field size q={q} exceeds the supported bound 2^31")
-        if not _is_prime(q):
-            raise ParameterError(f"base field size q={q} must be prime")
-        if m < 1:
-            raise ParameterError(f"extension degree m={m} must be >= 1")
+        _check_q_m(q, m)
         if modulus is None:
             try:
                 modulus = DEFAULT_MODULI[(q, m)]
@@ -180,8 +193,7 @@ class ExtField:
         """Rabin's test, in the raw arithmetic mod f: x^(q^m) = x, and
         x^(q^(m/p)) - x is coprime to f for every prime p dividing m."""
         q, m, x = self.q, self.m, self.alpha
-        if q ** (m // 2) > 2**16:
-            raise ParameterError("irreducibility check supports q^(m/2) <= 2^16")
+        _check_rabin_size(q, m)
 
         def minus_x(k: int) -> tuple[int, ...]:
             return _int_to_digits(self.sub(self._pow_raw(x, q**k), x), q, m)
@@ -343,20 +355,6 @@ class ExtField:
             raise ParameterError("frobenius exponent must be >= 0")
         return self.pow(a, self.q ** (i % self.m))
 
-    # -- coordinate view --------------------------------------------------------
-
-    def as_vector(self, a: int) -> tuple[int, ...]:
-        """Coordinates of a in the basis (1, alpha, ..., alpha^(m-1))."""
-        return _int_to_digits(self.check(a), self.q, self.m)
-
-    def from_vector(self, digits: Sequence[int]) -> int:
-        if len(digits) != self.m:
-            raise FormatError(f"expected {self.m} digits, got {len(digits)}")
-        for d in digits:
-            if not isinstance(d, int) or d < 0 or d >= self.q:
-                raise FormatError(f"digit {d!r} out of range [0, {self.q})")
-        return _digits_to_int(digits, self.q)
-
     # -- alpha-power notation ----------------------------------------------------
 
     def _require_tables(self) -> None:
@@ -369,13 +367,6 @@ class ExtField:
         """alpha^k for a primitive field polynomial (k taken mod q^m - 1)."""
         self._require_tables()
         return self._exp[k % (self.order - 1)]
-
-    def dlog(self, a: int) -> int:
-        """Discrete log base alpha; the inverse of alpha_pow on [0, q^m - 1)."""
-        if a == 0:
-            raise ValueError("discrete log of zero")
-        self._require_tables()
-        return self._log[self.check(a)]
 
     # -- serialization -------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .codes import GabidulinSpec, LinearCodeSpec, moore_matrix, resolve_code
 from .decoder import FailureReason, decode
 from .errors import ParameterError
-from .fields import ExtField
+from .fields import ExtField, _check_q_m, _check_rabin_size
 from .matrix import MatQ, MatQm, rank_q, rank_qm
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -143,9 +143,12 @@ def success_lower_bound(t: int, ell: int, m: int, q: int) -> tuple[Fraction, Fra
     """(product, simple) lower bounds on the full-rank-condition probability.
 
     product = prod_{i=0}^{t-1} (1 - q^(m(i-ell))), simple = 1 - t q^(m(t-1-ell)).
+    q and m must be ones that ExtField(q, m) accepts.
     """
     if t < 0 or ell < t:
         raise ParameterError(f"bounds require 0 <= t <= ell, got t={t}, ell={ell}")
+    _check_q_m(q, m)
+    _check_rabin_size(q, m)
     product = Fraction(1)
     for i in range(t):
         product *= 1 - Fraction(q) ** (m * (i - ell))

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import all_rref_bases, gab_code
-from rankmk.decoder import decode, mk_hamming_decode, recover_support, syndrome
+from rankmk.decoder import compute_hsub, decode, mk_hamming_decode, recover_support, syndrome
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
@@ -59,7 +59,8 @@ def golden():
     start = time.perf_counter()
     synd = syndrome(h, received)
     reduced = rref(synd)[0]
-    support = recover_support(h, synd)
+    t_hat, h_sub, _, _ = compute_hsub(h, synd)
+    basis = recover_support(h_sub, t_hat)
     outcome = decode(h, received, d=4)
     elapsed = time.perf_counter() - start
     expected = {
@@ -71,7 +72,7 @@ def golden():
         "C": alpha_mat(ctx, [[18, None, 21, 9, 3], [19, None, 22, 10, 4]]),
     }
     return dict(
-        ctx=ctx, h=h, synd=synd, reduced=reduced, support=support, outcome=outcome,
+        ctx=ctx, h=h, synd=synd, reduced=reduced, h_sub=h_sub, basis=basis, outcome=outcome,
         expected=expected, elapsed=elapsed,
     )
 
@@ -127,8 +128,8 @@ def test_criterion_1_golden_example(golden):
     ok = (
         g["synd"] == g["expected"]["S"]
         and g["reduced"] == g["expected"]["rref_S"]
-        and rref(g["support"].h_sub)[0] == rref(g["expected"]["H_sub"])[0]
-        and g["support"].basis == g["expected"]["B"]
+        and rref(g["h_sub"])[0] == rref(g["expected"]["H_sub"])[0]
+        and g["basis"] == g["expected"]["B"]
         and g["outcome"].success
         and g["outcome"].a_hat == g["expected"]["A"]
         and g["outcome"].c_hat == g["expected"]["C"]

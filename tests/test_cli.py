@@ -117,6 +117,12 @@ def test_parameter_error_exit_codes(tmp_path, msg_file, capsys):
     for position in ("9,9,1", "0,-1,1", "2,0,1", "0,5,1"):  # R is 2x5: no IndexError, no wrapped index
         assert run("demo", f"--tamper={position}", "--quiet") == 4
         assert "outside R's 2x5 shape" in capsys.readouterr().err
+    # bound rejects a q or m that ExtField(q, m) rejects, and does so at once
+    start = time.perf_counter()
+    for q, m in ((0, 1), (4, 2), (2, 0), (2, -1), (2**31, 1), (2, 1_000_000), (257, 4)):
+        assert run("bound", "--q", q, "--m", m, "--t", 1, "--ell", 2) == 4
+        assert capsys.readouterr().out == ""
+    assert time.perf_counter() - start < 1.0
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -1,12 +1,12 @@
 """Decoder pipeline: golden fixtures, planted-instance oracles, failure taxonomy."""
 
 import copy
-import dataclasses
+import itertools
 
 import pytest
 
-from conftest import all_rref_bases, gab_code, planted_word
-from rankmk.codes import LinearCodeSpec
+from conftest import all_rref_bases, gab_code, is_rref, planted_word
+from rankmk.codes import LinearCodeSpec, min_rank_distance_exhaustive, resolve_code
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -97,15 +97,24 @@ def test_hsub_annihilates_error():
         assert (h_sub @ err.transpose()).is_zero()
 
 
+def _support(h, synd):
+    t_hat, h_sub, _, _ = compute_hsub(h, synd)
+    return t_hat, recover_support(h_sub, t_hat)
+
+
 def test_recover_support_worked_example(worked):
-    sup = recover_support(worked["H"], worked["S"])
-    assert sup.basis == worked["B"]
-    assert sup.t_hat == 2
+    t_hat, h_sub, _, _ = compute_hsub(worked["H"], worked["S"])
+    assert t_hat == 2
+    assert recover_support(h_sub, t_hat) == worked["B"]
+    with pytest.raises(DecodeFailure) as info:
+        recover_support(h_sub, 1)
+    assert info.value.reason is FailureReason.SUPPORT_DIMENSION_MISMATCH
+    assert str(info.value) == "support dimension 2 != syndrome rank 1"
 
 
 def test_recover_support_zero(worked):
-    sup = recover_support(worked["H"], MatQm.zeros(worked["H"].ctx, 3, 2))
-    assert sup.t_hat == 0 and sup.basis.rows == 0
+    t_hat, basis = _support(worked["H"], MatQm.zeros(worked["H"].ctx, 3, 2))
+    assert t_hat == 0 and basis.rows == 0
 
 
 def test_recover_support_planted_exhaustive():
@@ -118,8 +127,7 @@ def test_recover_support_planted_exhaustive():
             for _ in range(5):
                 coeff = sample_full_rank(rng, ctx, t, t, t, rank_over="qm")
                 err = coeff @ MatQm(ctx, basis.data, basis.cols)
-                sup = recover_support(code.h, code.h @ err.transpose())
-                assert sup.basis == basis
+                assert _support(code.h, code.h @ err.transpose()) == (t, basis)
 
 
 # -- erasure decoding -------------------------------------------------------------
@@ -218,10 +226,9 @@ def test_failure_detail_is_kept():
     # H @ C_hat^T nonzero: the parity check must catch it and say so.
     wrong = MatQ(code.ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
 
-    def off_kernel(h, synd):
-        support = recover_support(h, synd)
-        assert not (support.h_sub @ wrong.transpose()).is_zero()
-        return dataclasses.replace(support, basis=wrong)
+    def off_kernel(h_sub, t_hat):
+        assert not (h_sub @ wrong.transpose()).is_zero()
+        return wrong
 
     out = _decode(code.h, received, code.d, off_kernel)
     assert out.reason is FailureReason.VERIFICATION_FAILED
@@ -318,11 +325,41 @@ def test_decode_odd_characteristic():
     # exercises negation/inverse handling through the whole pipeline at q = 3
     code = gab_code(3, 4, 4, 1)  # d = 4
     assert code.ctx.q == 3
+    vectors = [MatQ(code.ctx, [list(v)]) for v in itertools.product(range(3), repeat=4)]
     for seed in range(10):
         word, err, received = planted_word(code, 2, 2, seed)
         out = decode(code.h, received, code.d)
         assert out.success and out.c_hat == word
-        assert right_kernel_qm(ext_expand(out.h_sub)) == out.b_hat
+        # The support must be the F_3-kernel of H_sub, found here by trying
+        # all 81 vectors with the matrix product alone; the F_3 combinations
+        # of the rows of B_hat, an RREF matrix, must give exactly that set.
+        kernel = {tuple(v.data[0]) for v in vectors if (out.h_sub @ v.transpose()).is_zero()}
+        span = {
+            tuple(sum(c * b for c, b in zip(coeffs, col)) % 3 for col in zip(*out.b_hat.data))
+            for coeffs in itertools.product(range(3), repeat=out.t_hat)
+        }
+        assert is_rref(out.b_hat) and len(span) == 3**out.t_hat and span == kernel
+
+
+def test_guarantee_on_non_mrd_codes():
+    # The guarantee holds for any code, not only for MRD ones: random [6, 2]
+    # codes over F_{2^6} with d < n - k + 1 meet the support condition on
+    # every support of dimension t <= d - 2 and decode full-rank errors there.
+    ctx = ExtField(2, 6)
+    bases = {t: all_rref_bases(ctx, t, 6) for t in (1, 2)}
+    for c in range(3):
+        code = resolve_code(LinearCodeSpec(h=rand_matrix(trial_rng(777, c), ctx, 4, 6)))
+        d = min_rank_distance_exhaustive(code)
+        assert 3 <= d < code.n - code.k + 1
+        for t in range(1, d - 1):
+            assert all(beyond_d2_condition(code.h, basis) for basis in bases[t])
+        t = d - 2
+        for seed in range(10):
+            rng = trial_rng(777 + c, seed)
+            word = rand_matrix(rng, ctx, t, code.k) @ code.gen
+            err, _, _ = sample_error(rng, ctx, t, code.n, t, "fullrank")
+            out = decode(code.h, word.add(err), d)
+            assert out.success and out.c_hat == word and not out.beyond_guarantee
 
 
 def test_heterogeneous_rows_decode_with_supercode():

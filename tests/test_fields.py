@@ -8,6 +8,7 @@ import pytest
 
 from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import DEFAULT_MODULI, ExtField
+from rankmk.matrix import MatQm, ext_expand
 
 
 def _digits(code, q, n):
@@ -149,27 +150,29 @@ def test_frobenius_linear(q, m):
                 assert ctx.frobenius(ctx.mul(c, a), i) == ctx.mul(c, ctx.frobenius(a, i))
 
 
-def test_as_vector(f32, f8):
-    assert f32.as_vector(0) == (0, 0, 0, 0, 0)
-    assert f32.as_vector(f32.pow(f32.alpha, 3)) == (0, 0, 0, 1, 0)
-    for a in range(f8.order):
-        for b in range(f8.order):
-            va, vb = f8.as_vector(a), f8.as_vector(b)
-            assert f8.as_vector(f8.add(a, b)) == tuple((x + y) % 2 for x, y in zip(va, vb))
-        assert f8.from_vector(f8.as_vector(a)) == a
-    with pytest.raises(FormatError):
-        f8.from_vector((0, 2, 0))
-    with pytest.raises(FormatError):
-        f8.from_vector((0, 0))
+def _coords(ctx, a):
+    return [row[0] for row in ext_expand(MatQm(ctx, [[a]])).data]
 
 
-def test_alpha_pow_dlog(f32):
+@pytest.mark.parametrize("q,m", [(2, 3), (2, 5), (3, 2)])
+def test_codes_are_polynomial_coordinates(q, m):
+    # alpha^i is the i-th basis vector, a code's coordinates are its base-q
+    # digits, and addition works on them digit-wise mod q
+    ctx = ExtField(q, m)
+    for i in range(m):
+        assert _coords(ctx, ctx.pow(ctx.alpha, i)) == [int(j == i) for j in range(m)]
+    for a in range(ctx.order):
+        assert _coords(ctx, a) == _digits(a, q, m)
+        for b in range(ctx.order):
+            digitwise = [(x + y) % q for x, y in zip(_coords(ctx, a), _coords(ctx, b))]
+            assert _coords(ctx, ctx.add(a, b)) == digitwise
+
+
+def test_alpha_pow_is_bijection(f32):
     assert f32.alpha_pow(0) == 1
     assert f32.alpha_pow(5) == 5
-    for k in range(31):
-        assert f32.dlog(f32.alpha_pow(k)) == k
-    with pytest.raises(ValueError):
-        f32.dlog(0)
+    assert sorted(f32.alpha_pow(k) for k in range(31)) == list(range(1, 32))
+    assert f32.alpha_pow(31) == 1  # k is taken mod q^m - 1
 
 
 def test_non_primitive_modulus_rejected_for_alpha_pow():
