@@ -16,7 +16,7 @@ from . import demo as demo_mod
 from .codes import GabidulinSpec, LinearCodeSpec, code_spec_from_text, resolve_code
 from .decoder import decode
 from .errors import FormatError, ParameterError
-from .fields import ExtField
+from .fields import ExtField, _check_q_m, _check_rabin_size
 from .matrix import MatQm, mat_from_text
 from .simulate import SimConfig, run_trials, sample_error, success_lower_bound, trial_rng
 
@@ -49,12 +49,12 @@ def _parse_inline_code(text: str, ctx: ExtField | None) -> GabidulinSpec:
 
 
 def _load_code(args) -> LinearCodeSpec:
-    ctx = ExtField.from_spec(args.field) if getattr(args, "field", None) else None
-    if getattr(args, "code_file", None):
+    ctx = ExtField.from_spec(args.field) if args.field else None
+    if args.code_file:
         spec = code_spec_from_text(Path(args.code_file).read_text())
         if ctx is not None and spec.ctx != ctx:
             raise ParameterError("--field disagrees with the field in --code-file")
-    elif getattr(args, "code", None):
+    elif args.code:
         spec = _parse_inline_code(args.code, ctx)
     else:
         raise ParameterError("one of --code or --code-file is required")
@@ -134,7 +134,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    product, simple = success_lower_bound(args.t, args.ell, args.m, args.q)
+    q, m, t, ell = args.q, args.m, args.t, args.ell
+    _check_q_m(q, m)
+    _check_rabin_size(q, m)
+    # Refuse, before building it, an exact bound that str() would refuse: its
+    # longest number is the product's denominator q^(m * sum_{i<t} (ell - i)),
+    # as each factor q^(m*j) - 1 is coprime to q, and q^e > 10^limit once
+    # e >= 4 * limit.  Pythons without the int-to-str limit have no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    e = m * (t * ell - t * (t - 1) // 2)
+    if limit and 0 <= t <= ell and (e >= 4 * limit or q**e >= 10**limit):
+        raise ParameterError(f"the exact bound's denominator q^{e} has more than {limit} digits")
+    product, simple = success_lower_bound(t, ell, m, q)
     print(
         f"product,{float(product)!r} product_exact,{product.numerator}/{product.denominator} "
         f"simple,{float(simple)!r} simple_exact,{simple.numerator}/{simple.denominator}"

@@ -15,9 +15,10 @@ the matrix textual format (header line included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product
 
 from .errors import FormatError, ParameterError
-from .fields import ExtField
+from .fields import ExtField, _spec_fields
 from .matrix import MatQm, mat_from_text, rank_q, rank_qm, right_kernel_qm
 
 # Exhaustive enumeration guard (number of codewords).
@@ -55,8 +56,8 @@ class GabidulinSpec:
 class LinearCodeSpec:
     """Generic [n, k, d] rank-metric code given by a parity-check matrix.
 
-    `d` is caller-supplied metadata (or computed, for tiny codes); the
-    decoder uses it only for the guarantee predicate t <= d - 2.
+    `d`, in the Singleton range 1..n-k+1, is caller-supplied (or computed, for
+    tiny codes); the decoder uses it only for the guarantee predicate t <= d - 2.
     """
 
     h: MatQm
@@ -64,6 +65,8 @@ class LinearCodeSpec:
     gen: MatQm | None = field(default=None)
 
     def __post_init__(self):
+        if self.d is not None and not 1 <= self.d <= self.h.rows + 1:
+            raise ParameterError(f"distance d={self.d} is outside 1 <= d <= n - k + 1 = {self.h.rows + 1}")
         if rank_qm(self.h) != self.h.rows:
             raise ParameterError("parity-check matrix must have full row rank")
         if self.gen is not None and not (self.h @ self.gen.transpose()).is_zero():
@@ -110,22 +113,13 @@ def parity_check_from_generator(gen: MatQm) -> MatQm:
 
 def min_rank_distance_exhaustive(spec: GabidulinSpec | LinearCodeSpec) -> int:
     """Exact minimum rank distance by enumerating all nonzero codewords."""
-    if isinstance(spec, GabidulinSpec):
-        ctx, gen = spec.ctx, gabidulin_generator(spec)
-    else:
-        ctx = spec.ctx
-        gen = spec.gen if spec.gen is not None else right_kernel_qm(spec.h)
-    k, order = gen.rows, ctx.order
+    gen = resolve_code(spec).gen
+    ctx, k, order = gen.ctx, gen.rows, gen.ctx.order
     if order**k > ENUM_LIMIT:
         raise ParameterError(f"enumeration of {order}^{k} codewords exceeds the size guard")
     best = None
-    for idx in range(1, order**k):
-        msg = []
-        v = idx
-        for _ in range(k):
-            v, r = divmod(v, order)
-            msg.append(r)
-        w = rank_q(MatQm._wrap(ctx, [msg], k) @ gen)
+    for msg in islice(product(range(order), repeat=k), 1, None):  # all but the zero message
+        w = rank_q(MatQm._wrap(ctx, [list(msg)], k) @ gen)
         if best is None or w < best:
             best = w
             if best == 1:
@@ -151,11 +145,7 @@ def code_spec_from_text(text: str) -> GabidulinSpec | LinearCodeSpec:
     if len(lines) < 2:
         raise FormatError("code spec needs a field line and a kind line")
     ctx = ExtField.from_spec(lines[0])
-    kind_line = lines[1].split()
-    fields = {}
-    for token in kind_line:
-        key, _, value = token.partition("=")
-        fields[key] = value
+    fields = _spec_fields(lines[1])
     kind = fields.get("kind")
     if kind == "gabidulin":
         try:
@@ -167,12 +157,10 @@ def code_spec_from_text(text: str) -> GabidulinSpec | LinearCodeSpec:
     if kind == "generic":
         if "H" not in fields:
             raise FormatError("generic code spec must end with H= and a matrix block")
-        d = None
-        if "d" in fields:
-            try:
-                d = int(fields["d"])
-            except ValueError as exc:
-                raise FormatError("malformed d= value in code spec") from exc
+        try:
+            d = int(fields["d"]) if "d" in fields else None
+        except ValueError as exc:
+            raise FormatError("malformed d= value in code spec") from exc
         h = mat_from_text("\n".join(lines[2:]), ctx=ctx)
         return LinearCodeSpec(h=h, d=d)
     raise FormatError(f"unknown code kind {kind!r}")

@@ -17,11 +17,8 @@ from .matrix import MatQ, MatQm, ext_expand, rref
 FIELD_SPEC = "q=2 m=5 f=1,0,1,0,0,1"
 
 # Matrices as alpha exponents; None encodes the zero element.
-_G = [[0, 1, 2, 3, 4], [0, 2, 4, 6, 8]]
 _H = [[0, None, None, 17, 4], [None, 0, None, 7, 13], [None, None, 0, 16, 28]]
-_MSG = [[1, 0], [2, 1]]
 _C = [[18, None, 21, 9, 3], [19, None, 22, 10, 4]]
-_E = [[3, 1, 3, 1, 1], [1, 2, 1, 2, 2]]
 _R = [[27, 1, 4, 21, 6], [2, 2, 26, 22, 7]]
 _S = [[12, 12], [30, 0], [30, 17]]
 _RREF_S = [[1, 0], [0, 1], [0, 0]]
@@ -45,11 +42,8 @@ def fixtures() -> dict:
     ctx = ExtField.from_spec(FIELD_SPEC)
     return {
         "ctx": ctx,
-        "G": _alpha_mat(ctx, _G),
         "H": _alpha_mat(ctx, _H),
-        "msg": _alpha_mat(ctx, _MSG),
         "C": _alpha_mat(ctx, _C),
-        "E": _alpha_mat(ctx, _E),
         "R": _alpha_mat(ctx, _R),
         "S": _alpha_mat(ctx, _S),
         "rref(S)": MatQm(ctx, _RREF_S),
@@ -64,7 +58,7 @@ def _show(mat: MatQm) -> str:
     return "\n".join("  " + " ".join(f"{a:>4d}" for a in row) for row in mat.data) or "  (empty)"
 
 
-def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, out=None) -> int:
+def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None) -> int:
     """Run the decoding pipeline on the embedded fixtures.
 
     Returns 0 when every stage matches its expected value; otherwise prints
@@ -72,9 +66,6 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
     delta to R[i, j] before decoding, which must make the run fail; a
     position outside R raises ParameterError.
     """
-    import sys
-
-    out = out or sys.stdout
     fx = fixtures()
     ctx, h, received = fx["ctx"], fx["H"], fx["R"]
     if tamper is not None:
@@ -88,11 +79,11 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
 
     def emit(name: str, mat: MatQm) -> None:
         if not quiet:
-            print(f"{name}:", file=out)
-            print(_show(mat), file=out)
+            print(f"{name}:")
+            print(_show(mat))
 
     def fail(stage: str) -> int:
-        print(f"FAIL at stage {stage}", file=out)
+        print(f"FAIL at stage {stage}")
         return 1
 
     synd = syndrome(h, received)
@@ -102,7 +93,7 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
     outcome = decode(h, received, d=4)
     if not outcome.success:
         if not quiet:
-            print(f"decoder refused: {outcome.reason.value}", file=out)
+            print(f"decoder refused: {outcome.reason.value}")
         return fail("verification")
     emit("H_sub", outcome.h_sub)
     emit("ext(H_sub)", ext_expand(outcome.h_sub))
@@ -126,5 +117,5 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None, ou
         return fail("A")
     if outcome.c_hat != fx["C"]:
         return fail("C")
-    print("PASS" if quiet else "PASS: all stages match the expected values", file=out)
+    print("PASS" if quiet else "PASS: all stages match the expected values")
     return 0

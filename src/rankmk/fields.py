@@ -96,6 +96,17 @@ def _check_rabin_size(q: int, m: int) -> None:
         raise ParameterError("irreducibility check supports q^(m/2) <= 2^16")
 
 
+def _spec_fields(line: str) -> dict[str, str]:
+    """The key=value tokens of a spec line; a token without `=` is a FormatError."""
+    fields = {}
+    for token in line.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise FormatError(f"malformed spec token {token!r}: expected key=value")
+        fields[key] = value
+    return fields
+
+
 def _int_to_digits(code: int, q: int, length: int) -> tuple[int, ...]:
     digits = []
     for _ in range(length):
@@ -377,12 +388,7 @@ class ExtField:
 
     @classmethod
     def from_spec(cls, text: str) -> "ExtField":
-        fields = {}
-        for token in text.split():
-            if "=" not in token:
-                raise FormatError(f"malformed field spec token {token!r}")
-            key, _, value = token.partition("=")
-            fields[key] = value
+        fields = _spec_fields(text)
         try:
             q = int(fields["q"])
             m = int(fields["m"])

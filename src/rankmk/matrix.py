@@ -17,7 +17,8 @@ q = 2 both reduce the columns of that view as int bit masks in one F_2
 core, `_gf2_rref`, and build no expansion: the code of an F_{2^m} entry
 already holds its m coordinate bits, so column j of `ext_expand(M)` is the
 integer sum(M[i][j] << m*i).  Every `rref` (and so odd q throughout) runs
-the generic `_eliminate`.
+the generic `_eliminate`; `right_kernel_qm` runs one, on the column-reversed
+matrix, whose free-column vectors already are the RREF kernel basis.
 
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
@@ -352,21 +353,22 @@ def right_kernel_qm(mat: MatQm) -> MatQm:
     """Canonical (RREF) basis of {v in F_{q^m}^n : mat @ v^T = 0}.
 
     A subfield matrix has a subfield kernel basis, returned as a `MatQ`.
+    One reduction of mat with its columns reversed gives it.  The vector of
+    free column f is 1 at f and 0 at every other free column and left of f,
+    as the pivots it meets lie right of f; by increasing f, that is RREF.
     """
-    ctx = mat.ctx
-    reduced, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [j for j in range(mat.cols) if j not in pivot_set]
+    ctx, n = mat.ctx, mat.cols
+    # f and p below index the reversed columns; each vector is flipped back.
+    reduced, pivots = rref(type(mat)._wrap(ctx, [r[::-1] for r in mat.data], n))
     neg = ctx.neg
     rows = []
-    for f in free:
-        v = [0] * mat.cols
+    for f in sorted(set(range(n)).difference(pivots), reverse=True):
+        v = [0] * n
         v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = neg(reduced.data[i][f])
-        rows.append(v)
-    basis = type(mat)._wrap(ctx, rows, mat.cols)
-    return rref(basis)[0] if rows else basis
+        for row, p in zip(reduced.data, pivots):
+            v[p] = neg(row[f])
+        rows.append(v[::-1])
+    return type(mat)._wrap(ctx, rows, n)
 
 
 def right_kernel_q(mat: MatQm) -> MatQ:

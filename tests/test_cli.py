@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
+import sys
 import time
 
 import pytest
@@ -123,6 +124,17 @@ def test_parameter_error_exit_codes(tmp_path, msg_file, capsys):
         assert run("bound", "--q", q, "--m", m, "--t", 1, "--ell", 2) == 4
         assert capsys.readouterr().out == ""
     assert time.perf_counter() - start < 1.0
+    # and an exact bound too long for str(): its denominator is q^(m * sum_{i<t} (ell - i))
+    start = time.perf_counter()
+    for q, m, t, ell in ((2, 4, 200, 200), (2, 33, 30, 30), (2, 4, 800, 800), (3, 1, 1, 10**100)):
+        assert run("bound", "--q", q, "--m", m, "--t", t, "--ell", ell) == 4
+        assert capsys.readouterr().out == ""
+    assert time.perf_counter() - start < 1.0
+    # 2^ell stays below 10^limit up to this ell, so that bound still prints
+    ell = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+    assert run("bound", "--q", 2, "--m", 1, "--t", 1, "--ell", ell) == 0
+    assert f"/{2**ell} simple," in capsys.readouterr().out
+    assert run("bound", "--q", 2, "--m", 1, "--t", 1, "--ell", ell + 1) == 4
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

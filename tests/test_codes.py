@@ -159,6 +159,12 @@ def test_linear_code_spec_validation():
         LinearCodeSpec(h=MatQm(ctx, [[1, 1, 0], [1, 1, 0]]))
     with pytest.raises(ParameterError):
         LinearCodeSpec(h=MatQm(ctx, [[1, 0, 0]]), gen=MatQm(ctx, [[1, 1, 1]]))
+    # d within the Singleton bound 1 <= d <= n - k + 1 = 3 of a [3, 1] code
+    h = MatQm(ctx, [[1, 0, 1], [0, 1, 1]])
+    for d in (-7, 0, 4, 99):
+        with pytest.raises(ParameterError):
+            LinearCodeSpec(h=h, d=d)
+    assert LinearCodeSpec(h=h, d=1).d == 1 and LinearCodeSpec(h=h, d=3).d == 3
 
 
 def test_generator_from_parity_check():
@@ -194,6 +200,11 @@ def test_code_spec_errors(f32):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin g=1,2 k=x\n")
     with pytest.raises(FormatError):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=generic d=4\n")
+    # a token without "=" is malformed, as in a field spec
+    with pytest.raises(FormatError, match="junk"):
+        code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin junk g=1,2,4,8 k=1 k2\n")
+    with pytest.raises(FormatError, match="'H'"):
+        code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=generic d=2 H\n2 5 1 2\n1 1\n")
 
 
 def test_rank_weight_bounded_by_hamming_weight(f32):

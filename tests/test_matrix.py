@@ -208,7 +208,7 @@ def test_kernel_qm_random(f8):
     for _ in range(20):
         m = rand_matrix(rng, f8, 2, 5)
         ker = right_kernel_qm(m)
-        assert ker.rows == 5 - rank_qm(m)
+        assert ker.rows == 5 - rank_qm(m) and is_rref(ker)
         if ker.rows:
             assert (m @ ker.transpose()).is_zero()
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gab_code
-from rankmk.codes import code_spec_from_text, parity_check_from_generator
+from conftest import gab_code, is_rref
+from rankmk.codes import code_spec_from_text, code_spec_to_text, parity_check_from_generator
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -278,13 +278,16 @@ def view_matrices(draw):
 @example(MatQm.zeros(ODD_FIELDS[0], 0, 3))
 @example(MatQm.zeros(ODD_FIELDS[1], 0, 0))
 def test_rank_and_kernel_q_match_generic_elimination(mat):
-    # rank_qm and right_kernel_qm run the generic _eliminate on the expansion
+    # rank_qm and right_kernel_qm run the generic _eliminate on the expansion.
+    # Inside the kernel, n - rank rows and RREF pin the basis down uniquely,
+    # which is what odd q checks; q = 2 also meets the packed core.
     x = ext_expand(mat)
     rank, kernel = rank_qm(x), right_kernel_qm(x)
     assert rank_q(mat) == rank_q(x) == rank
     assert right_kernel_q(mat) == right_kernel_q(x) == kernel
     assert (x @ kernel.transpose()).is_zero()
     assert kernel.rows == mat.cols - rank
+    assert is_rref(kernel)
 
 
 # -- the input parsers ----------------------------------------------------------------
@@ -355,4 +358,7 @@ def test_matrix_parser_raises_only_input_errors(text):
 @PROPERTY
 @given(code_spec_blocks().flatmap(edited))
 def test_code_spec_parser_raises_only_input_errors(text):
-    _parse_or_none(code_spec_from_text, text)
+    spec = _parse_or_none(code_spec_from_text, text)
+    if spec is not None:
+        assert spec.d is None or 1 <= spec.d <= spec.n - spec.k + 1
+        assert code_spec_from_text(code_spec_to_text(spec)) == spec
