@@ -24,6 +24,9 @@ from .matrix import MatQm, mat_from_text, rank_q, rank_qm, right_kernel_qm
 # Exhaustive enumeration guard (number of codewords).
 ENUM_LIMIT = 2**20
 
+# The keys a code spec's kind line may carry, per kind.
+_CODE_SPEC_KEYS = {"gabidulin": ("kind", "g", "k"), "generic": ("kind", "d", "H")}
+
 
 @dataclass(frozen=True)
 class GabidulinSpec:
@@ -145,8 +148,10 @@ def code_spec_from_text(text: str) -> GabidulinSpec | LinearCodeSpec:
     if len(lines) < 2:
         raise FormatError("code spec needs a field line and a kind line")
     ctx = ExtField.from_spec(lines[0])
-    fields = _spec_fields(lines[1])
-    kind = fields.get("kind")
+    kind = next((token[5:] for token in lines[1].split() if token.startswith("kind=")), None)
+    if kind not in _CODE_SPEC_KEYS:
+        raise FormatError(f"unknown code kind {kind!r}")
+    fields = _spec_fields(lines[1], _CODE_SPEC_KEYS[kind])
     if kind == "gabidulin":
         try:
             g = tuple(int(a) for a in fields["g"].split(","))
@@ -154,16 +159,14 @@ def code_spec_from_text(text: str) -> GabidulinSpec | LinearCodeSpec:
         except (KeyError, ValueError) as exc:
             raise FormatError("malformed gabidulin code spec") from exc
         return GabidulinSpec(ctx, g, k)
-    if kind == "generic":
-        if "H" not in fields:
-            raise FormatError("generic code spec must end with H= and a matrix block")
-        try:
-            d = int(fields["d"]) if "d" in fields else None
-        except ValueError as exc:
-            raise FormatError("malformed d= value in code spec") from exc
-        h = mat_from_text("\n".join(lines[2:]), ctx=ctx)
-        return LinearCodeSpec(h=h, d=d)
-    raise FormatError(f"unknown code kind {kind!r}")
+    if "H" not in fields:
+        raise FormatError("generic code spec must end with H= and a matrix block")
+    try:
+        d = int(fields["d"]) if "d" in fields else None
+    except ValueError as exc:
+        raise FormatError("malformed d= value in code spec") from exc
+    h = mat_from_text("\n".join(lines[2:]), ctx=ctx)
+    return LinearCodeSpec(h=h, d=d)
 
 
 def resolve_code(spec: GabidulinSpec | LinearCodeSpec) -> LinearCodeSpec:

@@ -7,10 +7,13 @@ residue class of the indeterminate modulo the field polynomial.  Elements of
 the subfield F_q are exactly the codes below q, and F_q arithmetic on them is
 plain integer arithmetic mod q.
 
-Multiplication reduces modulo the field polynomial in O(m^2).  When the
-polynomial is primitive and the field is small, discrete-log tables are built
-once so multiplication, inversion and powering become table lookups.  For odd
-q those fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
+Multiplication reduces modulo the field polynomial in O(m^2).  A field with
+at most TABLE_LIMIT elements walks the powers of alpha once at construction,
+each step a multiply-by-alpha in O(m).  That walk decides primitivity: alpha
+is primitive exactly when the walk first returns to 1 after q^m - 1 steps.
+For a primitive polynomial the walk's discrete-log tables are kept, so
+multiplication, inversion and powering become table lookups.  For odd q those
+fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
 addition, subtraction and negation are table lookups too; for q = 2 addition
 is XOR, and fields without tables add digit by digit.
 """
@@ -96,13 +99,18 @@ def _check_rabin_size(q: int, m: int) -> None:
         raise ParameterError("irreducibility check supports q^(m/2) <= 2^16")
 
 
-def _spec_fields(line: str) -> dict[str, str]:
-    """The key=value tokens of a spec line; a token without `=` is a FormatError."""
+def _spec_fields(line: str, keys: Sequence[str]) -> dict[str, str]:
+    """The key=value tokens of a spec line.  A token without `=`, a repeated
+    key or a key outside `keys` is a FormatError."""
     fields = {}
     for token in line.split():
         key, eq, value = token.partition("=")
         if not eq:
             raise FormatError(f"malformed spec token {token!r}: expected key=value")
+        if key in fields:
+            raise FormatError(f"repeated spec key {key!r}")
+        if key not in keys:
+            raise FormatError(f"unknown spec key {key!r}: expected one of {', '.join(keys)}")
         fields[key] = value
     return fields
 
@@ -186,6 +194,8 @@ class ExtField:
         # alpha = residue of x: for m >= 2 the digit vector (0,1,0,...);
         # for m = 1 it reduces to -c0.
         self.alpha = q if m >= 2 else (q - modulus[0]) % q
+        # q = 2: the bits of f, XORed in to reduce a product of degree m
+        self._mod_mask = _digits_to_int(modulus, 2) if q == 2 else 0
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None  # odd q with tables only
@@ -194,9 +204,7 @@ class ExtField:
 
         self._primitive: bool | None = None
         if self.order <= TABLE_LIMIT:
-            self._primitive = self._check_primitive()
-            if self._primitive:
-                self._build_tables()
+            self._primitive = self._build_tables()
 
     # -- construction helpers -------------------------------------------------
 
@@ -213,6 +221,8 @@ class ExtField:
         return not any(minus_x(m)) and all(coprime)
 
     def _check_primitive(self) -> bool:
+        """alpha^(n/p) != 1 for every prime p dividing n = q^m - 1: the
+        primitivity test for fields past TABLE_LIMIT, which get no walk."""
         if self.alpha == 0:  # m = 1 with modulus x: the residue of x is zero
             return False
         n = self.order - 1
@@ -221,30 +231,63 @@ class ExtField:
                 return False
         return True
 
-    def _build_tables(self) -> None:
+    def _alpha_step(self):
+        """v -> v * alpha in O(m): shift every digit up one place, then fold
+        the digit c pushed to place m back in as -c * (f_0, ..., f_{m-1})."""
+        q, m = self.q, self.m
+        if q == 2:
+            top, mask = 1 << m, self._mod_mask
+
+            def step(v: int) -> int:
+                v <<= 1
+                return v ^ mask if v & top else v
+
+            return step
+        top = q ** (m - 1)
+        fold = [_digits_to_int([-c * f % q for f in self.modulus[:m]], q) for c in range(q)]
+        add = self.add  # digit by digit: no Zech table exists yet
+
+        def step(v: int) -> int:
+            c, rest = divmod(v, top)
+            return add(rest * q, fold[c])
+
+        return step
+
+    def _build_tables(self) -> bool:
+        """Walk 1, alpha, alpha^2, ... and return whether alpha is primitive.
+
+        f is irreducible, so unless alpha = 0 its powers return to 1 after its
+        multiplicative order, which divides n = q^m - 1.  alpha is primitive
+        exactly when the walk meets neither 0 nor 1 before step n and meets 1
+        at step n.  Only then are the exp, log (and for odd q Zech) tables kept."""
         n = self.order - 1
-        exp = [0] * (2 * n)
+        step = self._alpha_step()
+        exp = [1] * n
         log = [0] * self.order
         v = 1
-        for i in range(n):
+        for i in range(1, n):
+            v = step(v)
+            if v <= 1:
+                return False
             exp[i] = v
             log[v] = i
-            v = self._mul_raw(v, self.alpha)
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        self._exp = exp
+        if step(v) != 1:  # alpha = 0: f = x over F_2, where n = 1
+            return False
+        self._exp = exp + exp
         self._log = log
         if self.q != 2:
             # 1 + alpha^k only bumps the constant digit; it is 0 at k = n/2,
             # since alpha^(n/2) = -1, and that entry is marked -1.
             q = self.q
-            ones = (c - c % q + (c % q + 1) % q for c in exp[:n])
+            ones = (c - c % q + (c % q + 1) % q for c in exp)
             self._zech = [log[c] if c else -1 for c in ones]
             self._half = n // 2
+        return True
 
     @property
     def is_primitive(self) -> bool:
-        """True when alpha generates the multiplicative group."""
+        """True when alpha generates the multiplicative group.  The table walk
+        decides it at construction; past TABLE_LIMIT it is tested on first use."""
         if self._primitive is None:
             self._primitive = self._check_primitive()
         return self._primitive
@@ -253,7 +296,7 @@ class ExtField:
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.q == 2:
-            mod_mask = _digits_to_int(self.modulus, 2)
+            mod_mask = self._mod_mask
             top = 1 << self.m
             r = 0
             while b:
@@ -388,7 +431,7 @@ class ExtField:
 
     @classmethod
     def from_spec(cls, text: str) -> "ExtField":
-        fields = _spec_fields(text)
+        fields = _spec_fields(text, ("q", "m", "f"))
         try:
             q = int(fields["q"])
             m = int(fields["m"])

@@ -205,6 +205,22 @@ def test_code_spec_errors(f32):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin junk g=1,2,4,8 k=1 k2\n")
     with pytest.raises(FormatError, match="'H'"):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=generic d=2 H\n2 5 1 2\n1 1\n")
+    # a repeated key is refused rather than the last one winning
+    with pytest.raises(FormatError, match="repeated spec key 'g'"):
+        code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin g=1,2 g=1,2,4,8 k=1\n")
+    with pytest.raises(FormatError, match="repeated spec key 'kind'"):
+        code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin kind=gabidulin g=1,2,4,8 k=1\n")
+    with pytest.raises(FormatError, match="repeated spec key 'm'"):
+        code_spec_from_text("q=2 m=5 m=4 f=1,1,0,0,1\nkind=gabidulin g=1,2,4,8 k=1\n")
+    # each line takes only its own keys: q, m, f; kind, g, k; kind, d, H
+    for field, kind in [
+        ("q=2 m=5 f=1,0,1,0,0,1 colour=red", "kind=gabidulin g=1,2,4,8 k=1"),
+        ("q=2 m=5 f=1,0,1,0,0,1", "kind=gabidulin g=1,2,4,8 k=1 foo=bar"),
+        ("q=2 m=5 f=1,0,1,0,0,1", "kind=gabidulin g=1,2,4,8 k=1 d=4"),
+        ("q=2 m=5 f=1,0,1,0,0,1", "kind=generic d=2 k=1 H="),
+    ]:
+        with pytest.raises(FormatError, match="unknown spec key"):
+            code_spec_from_text(f"{field}\n{kind}\n2 5 1 2\n1 1\n")
 
 
 def test_rank_weight_bounded_by_hamming_weight(f32):

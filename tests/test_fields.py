@@ -267,6 +267,36 @@ def test_constructor_validation():
     assert ExtField(2**31 - 1, 1, (1, 1)).order == 2**31 - 1  # largest supported prime
 
 
+@pytest.mark.parametrize("q, max_m", [(2, 4), (3, 4), (5, 3)])
+def test_alpha_walk_matches_raw_product(q, max_m):
+    # Every monic modulus of degree <= max_m.  The table walk multiplies by
+    # alpha with a shift and one fold and decides primitivity on its own;
+    # _check_primitive and _mul_raw stay its independent oracles.
+    for m in range(1, max_m + 1):
+        for low in itertools.product(range(q), repeat=m):
+            f = tuple(low) + (1,)
+            if not _irreducible_by_trial_division(f, q, m):
+                with pytest.raises(ParameterError):
+                    ExtField(q, m, f)
+                continue
+            ctx = ExtField(q, m, f)
+            assert ctx.is_primitive == ctx._check_primitive(), f
+            if not ctx.is_primitive:
+                assert ctx._exp is None and ctx._log is None and ctx._zech is None, f
+                continue
+            n = ctx.order - 1
+            exp, log, zech = ctx._exp, ctx._log, ctx._zech
+            assert len(exp) == 2 * n and exp[:n] == exp[n:], f
+            for i in range(n):
+                assert exp[i + 1] == ctx._mul_raw(exp[i], ctx.alpha), (f, i)
+                assert log[exp[i]] == i, (f, i)
+            if q != 2:
+                for k in range(n):
+                    one_plus = [(d + (i == 0)) % q for i, d in enumerate(_digits(exp[k], q, m))]
+                    code = sum(d * q**i for i, d in enumerate(one_plus))
+                    assert (exp[zech[k]] if zech[k] >= 0 else 0) == code, (f, k)
+
+
 def test_default_moduli_primitive():
     for (q, m) in DEFAULT_MODULI:
         assert ExtField(q, m).is_primitive, (q, m)
@@ -287,3 +317,9 @@ def test_spec_roundtrip(f32):
         ExtField.from_spec("q=2 m=5")
     with pytest.raises(FormatError):
         ExtField.from_spec("q=2 m=x f=1,1")
+    # a repeated key no longer lets the last one win, and an unknown key is refused
+    with pytest.raises(FormatError, match="repeated spec key 'm'"):
+        ExtField.from_spec("q=2 m=5 m=4 f=1,1,0,0,1")
+    for extra in ["colour=red", "foo=bar", "k=1"]:
+        with pytest.raises(FormatError, match="unknown spec key"):
+            ExtField.from_spec(f"{f32.to_spec()} {extra}")
