@@ -37,7 +37,7 @@ class GabidulinSpec:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "g", tuple(int(a) for a in self.g))
+        object.__setattr__(self, "g", tuple(self.g))
         n = len(self.g)
         if not 1 <= self.k <= n:
             raise ParameterError(f"dimension k={self.k} must satisfy 1 <= k <= n={n}")
@@ -93,7 +93,7 @@ def moore_matrix(ctx: ExtField, g, rows: int) -> MatQm:
 
     Each locator must be an element code of ctx (FormatError otherwise).
     """
-    g = [ctx.check(int(a)) for a in g]
+    g = [ctx.check(a) for a in g]
     return MatQm._wrap(ctx, [[ctx.frobenius(a, i) for a in g] for i in range(rows)], len(g))
 
 

@@ -11,6 +11,7 @@ Multiplication reduces modulo the field polynomial in O(m^2).  A field with
 at most TABLE_LIMIT elements walks the powers of alpha once at construction,
 each step a multiply-by-alpha in O(m).  That walk decides primitivity: alpha
 is primitive exactly when the walk first returns to 1 after q^m - 1 steps.
+Larger fields decide primitivity at construction by powering alpha instead.
 For a primitive polynomial the walk's discrete-log tables are kept, so
 multiplication, inversion and powering become table lookups.  For odd q those
 fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
@@ -166,6 +167,10 @@ def _poly_coprime(f: Sequence[int], g: Sequence[int], q: int) -> bool:
 class ExtField:
     """The tower F_q in F_{q^m}: field polynomial, basis, and arithmetic.
 
+    `is_primitive` is True when alpha generates the multiplicative group; it
+    is decided at construction, by the table walk up to TABLE_LIMIT elements
+    and by powering past it.
+
     Immutable after construction; all operations are pure functions of their
     integer arguments, so one instance is safely shared across threads.
     """
@@ -179,7 +184,9 @@ class ExtField:
                 raise ParameterError(
                     f"no default field polynomial for q={q}, m={m}; pass one explicitly"
                 ) from None
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(modulus)
+        if any(type(c) is not int for c in modulus):
+            raise FormatError(f"field polynomial coefficients must be ints, got {modulus!r}")
         if len(modulus) != m + 1:
             raise FormatError(f"field polynomial must have degree {m} (got {len(modulus) - 1})")
         if any(c < 0 or c >= q for c in modulus):
@@ -202,9 +209,10 @@ class ExtField:
         if not self._is_irreducible():
             raise ParameterError(f"field polynomial {modulus} is reducible over F_{q}")
 
-        self._primitive: bool | None = None
         if self.order <= TABLE_LIMIT:
-            self._primitive = self._build_tables()
+            self.is_primitive = self._build_tables()
+        else:
+            self.is_primitive = self._check_primitive()
 
     # -- construction helpers -------------------------------------------------
 
@@ -222,7 +230,8 @@ class ExtField:
 
     def _check_primitive(self) -> bool:
         """alpha^(n/p) != 1 for every prime p dividing n = q^m - 1: the
-        primitivity test for fields past TABLE_LIMIT, which get no walk."""
+        primitivity test that fields past TABLE_LIMIT run at construction in
+        place of the walk."""
         if self.alpha == 0:  # m = 1 with modulus x: the residue of x is zero
             return False
         n = self.order - 1
@@ -284,14 +293,6 @@ class ExtField:
             self._half = n // 2
         return True
 
-    @property
-    def is_primitive(self) -> bool:
-        """True when alpha generates the multiplicative group.  The table walk
-        decides it at construction; past TABLE_LIMIT it is tested on first use."""
-        if self._primitive is None:
-            self._primitive = self._check_primitive()
-        return self._primitive
-
     # -- raw polynomial-basis arithmetic --------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -325,7 +326,7 @@ class ExtField:
 
     def check(self, a: int) -> int:
         """Validate an element code, returning it unchanged."""
-        if not isinstance(a, int) or a < 0 or a >= self.order:
+        if type(a) is not int or a < 0 or a >= self.order:
             raise FormatError(f"element code {a!r} out of range [0, {self.order})")
         return a
 
@@ -411,15 +412,12 @@ class ExtField:
 
     # -- alpha-power notation ----------------------------------------------------
 
-    def _require_tables(self) -> None:
+    def alpha_pow(self, k: int) -> int:
+        """alpha^k for a primitive field polynomial (k taken mod q^m - 1)."""
         if self.order > TABLE_LIMIT:
             raise ParameterError("alpha-power notation supported only for q^m <= 2^20")
         if not self.is_primitive:
             raise ParameterError("field polynomial is not primitive; alpha-power notation unavailable")
-
-    def alpha_pow(self, k: int) -> int:
-        """alpha^k for a primitive field polynomial (k taken mod q^m - 1)."""
-        self._require_tables()
         return self._exp[k % (self.order - 1)]
 
     # -- serialization -------------------------------------------------------------

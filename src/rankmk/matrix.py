@@ -61,7 +61,7 @@ class MatQm:
 
     @staticmethod
     def _check_entry(ctx: ExtField, a: int) -> None:
-        if not isinstance(a, int) or a < 0 or a >= ctx.order:
+        if type(a) is not int or a < 0 or a >= ctx.order:
             raise FormatError(f"entry {a!r} out of range [0, {ctx.order})")
 
     # -- constructors -----------------------------------------------------------
@@ -173,7 +173,7 @@ class MatQ(MatQm):
 
     @staticmethod
     def _check_entry(ctx: ExtField, a: int) -> None:
-        if not isinstance(a, int) or a < 0 or a >= ctx.q:
+        if type(a) is not int or a < 0 or a >= ctx.q:
             raise FormatError(f"subfield entry {a!r} out of range [0, {ctx.q})")
 
 

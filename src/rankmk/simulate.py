@@ -7,8 +7,8 @@ Reproducibility contract (language-independent):
   s = (s + 0x9E3779B97F4A7C15) mod 2^64 and outputs mix64(s), where
   mix64(z): z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
   z *= 0x94D049BB133111EB; z ^= z >> 31 (all mod 2^64).
-* `below(n)` draws 64-bit words, rejecting w >= 2^64 - (2^64 mod n),
-  and returns w mod n.
+* `below(n)`, for 1 <= n <= 2^64, draws 64-bit words, rejecting
+  w >= 2^64 - (2^64 mod n), and returns w mod n.
 * Trial i of a run with master seed s uses a fresh SplitMix64 seeded with
   mix64((s + i * 0x9E3779B97F4A7C15) mod 2^64), so trials are independent
   of execution order and may run concurrently.
@@ -61,8 +61,8 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection from 64-bit words."""
-        if n <= 0:
-            raise ParameterError("below() needs a positive bound")
+        if not 0 < n <= 1 << 64:
+            raise ParameterError("below() needs a bound in [1, 2^64]")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
             w = self.next_u64()
@@ -152,7 +152,7 @@ def success_lower_bound(t: int, ell: int, m: int, q: int) -> tuple[Fraction, Fra
     product = Fraction(1)
     for i in range(t):
         product *= 1 - Fraction(q) ** (m * (i - ell))
-    simple = 1 - t * Fraction(q) ** (m * (t - 1 - ell))
+    simple = 1 - t * Fraction(q) ** (m * (t - 1 - ell)) if t else Fraction(1)
     return product, simple
 
 

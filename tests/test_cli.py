@@ -115,6 +115,21 @@ def test_parameter_error_exit_codes(tmp_path, msg_file, capsys):
     assert run("bogus-subcommand") == 4
     assert run("bench") == 4  # retired: timing lives in rankbench/
     capsys.readouterr()
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(f"{FIELD}\nkind=gabidulin g=1,2,4,8,16 k=2\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("2 5 1 3\n1 2 3\n")
+    for argv in (
+        ("decode", "--field", FIELD, "--code", "gabidulin:g=1,2,k=x", "--in", msg_file, "--out", chat),
+        ("decode", "--field", FIELD, "--code", "gabidulin:k=2", "--in", msg_file, "--out", chat),
+        ("decode", "--field", "q=2 m=4 f=1,1,0,0,1", "--code-file", code_file, "--in", msg_file,
+         "--out", chat),
+        ("decode", "--field", FIELD, "--in", msg_file, "--out", chat),  # neither --code nor --code-file
+        ("demo", "--tamper", "1,2"),
+        ("encode", "--field", FIELD, "--code", CODE, "--message", wide, "--out", chat),  # 3 columns, k = 2
+    ):
+        assert run(*argv) == 4, argv
+        assert capsys.readouterr().out == "", argv
     for position in ("9,9,1", "0,-1,1", "2,0,1", "0,5,1"):  # R is 2x5: no IndexError, no wrapped index
         assert run("demo", f"--tamper={position}", "--quiet") == 4
         assert "outside R's 2x5 shape" in capsys.readouterr().err
@@ -169,6 +184,13 @@ def test_simulate_csv(tmp_path, capsys):
     a = [ln for ln in report.read_text().splitlines() if not ln.startswith("wall_time")]
     b = [ln for ln in again.read_text().splitlines() if not ln.startswith("wall_time")]
     assert a == b
+    # without --out the CSV goes to stdout, followed by the summary line
+    capsys.readouterr()
+    assert run("simulate", "--field", FIELD, "--code", CODE, "--ell", 2, "--t", 2,
+               "--trials", 50, "--seed", 4, "--mode", "fullrank") == 0
+    *csv, summary = capsys.readouterr().out.splitlines()
+    assert [ln for ln in csv if not ln.startswith("wall_time")] == a
+    assert summary.startswith("rate,1.0 bound,")
 
 
 def test_bound_command(capsys):
@@ -177,6 +199,11 @@ def test_bound_command(capsys):
     assert "product,0.933837890625" in out
     assert "product_exact,3825/4096" in out
     assert "simple,0.875" in out
+    # t = 0 bounds are exactly 1, so a huge ell costs no power
+    start = time.perf_counter()
+    assert run("bound", "--q", 2, "--m", 1, "--t", 0, "--ell", 10**12) == 0
+    assert capsys.readouterr().out == "product,1.0 product_exact,1/1 simple,1.0 simple_exact,1/1\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_huge_base_field_header_fails_fast(tmp_path, capsys):

@@ -47,10 +47,13 @@ def test_moore_matrix_rows():
         assert mm.data[i] == [ctx.frobenius(a, i) for a in g]
 
 
-@pytest.mark.parametrize("bad", [-1, 16])
+@pytest.mark.parametrize("bad", [-1, 16, True, 1.5])
 def test_locators_checked_where_they_enter(bad):
-    # -1 would index the log table from its end; 16 lies past its end
+    # -1 would index the log table from its end; 16 lies past its end; a
+    # bool or a float is not an element code and is not truncated to one
     ctx = ExtField(2, 4)
+    with pytest.raises(FormatError):
+        GabidulinSpec(ctx, (bad, 2), 1)
     with pytest.raises(FormatError):
         moore_matrix(ctx, [bad, 2], 2)
     with pytest.raises(FormatError):
@@ -200,6 +203,8 @@ def test_code_spec_errors(f32):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin g=1,2 k=x\n")
     with pytest.raises(FormatError):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=generic d=4\n")
+    with pytest.raises(FormatError, match="malformed d="):
+        code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=generic d=x H=\n2 5 1 2\n1 1\n")
     # a token without "=" is malformed, as in a field spec
     with pytest.raises(FormatError, match="junk"):
         code_spec_from_text("q=2 m=5 f=1,0,1,0,0,1\nkind=gabidulin junk g=1,2,4,8 k=1 k2\n")

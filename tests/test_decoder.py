@@ -19,6 +19,7 @@ from rankmk.decoder import (
     recover_support,
     syndrome,
 )
+from rankmk.errors import ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
@@ -425,6 +426,8 @@ def test_beyond_condition_full_square_false():
     code = gab_code(2, 5, 5, 2)
     basis = MatQ(code.ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
     assert not beyond_d2_condition(code.h, basis)  # t = n - k
+    with pytest.raises(ParameterError):
+        beyond_d2_condition(code.h, MatQ(code.ctx, [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from rankmk.errors import FormatError, ParameterError
-from rankmk.fields import DEFAULT_MODULI, ExtField
+from rankmk.fields import DEFAULT_MODULI, TABLE_LIMIT, ExtField
 from rankmk.matrix import MatQm, ext_expand
 
 
@@ -130,6 +130,8 @@ def test_frobenius_trivials(f8):
     for a in range(f8.order):
         assert f8.frobenius(a, 0) == a
         assert f8.frobenius(a, f8.m) == a
+    with pytest.raises(ParameterError):
+        f8.frobenius(1, -1)
 
 
 def test_frobenius_alpha(f8):
@@ -260,6 +262,13 @@ def test_constructor_validation():
         ExtField(2, 3, (1, 1, 1))  # degree 2 != m
     with pytest.raises(FormatError):
         ExtField(2, 3, (1, 1, 0, 0))  # not monic
+    # coefficients are ints: a float or a bool is refused, not truncated
+    with pytest.raises(FormatError):
+        ExtField(2, 4, (1, 1.9, 0, 0, 1))
+    with pytest.raises(FormatError):
+        ExtField(2, 4, (1, 1, 0, 0, True))
+    with pytest.raises(FormatError):
+        ExtField(2, 4).check(True)
     with pytest.raises(ParameterError):
         ExtField(11, 3)  # no default polynomial shipped
     with pytest.raises(ParameterError):
@@ -295,6 +304,20 @@ def test_alpha_walk_matches_raw_product(q, max_m):
                     one_plus = [(d + (i == 0)) % q for i, d in enumerate(_digits(exp[k], q, m))]
                     code = sum(d * q**i for i, d in enumerate(one_plus))
                     assert (exp[zech[k]] if zech[k] >= 0 else 0) == code, (f, k)
+
+
+@pytest.mark.parametrize("middle, primitive", [(2, True), (7, False)])
+def test_primitivity_past_table_limit(middle, primitive):
+    # x^21 + x^2 + 1 is primitive; x^21 + x^7 + 1 is irreducible, but
+    # x^((2^21 - 1)/127) = 1 mod it.  Both fields are past TABLE_LIMIT, so
+    # construction decides it by powering and reading it changes nothing.
+    ctx = ExtField(2, 21, tuple(int(i in (0, middle, 21)) for i in range(22)))
+    assert ctx.order > TABLE_LIMIT and ctx._exp is None
+    before = dict(vars(ctx))
+    assert ctx.is_primitive is primitive
+    assert vars(ctx) == before
+    with pytest.raises(ParameterError, match=r"q\^m <= 2\^20"):
+        ctx.alpha_pow(1)
 
 
 def test_default_moduli_primitive():

@@ -85,6 +85,10 @@ def test_matmul_vs_naive(f8):
 def test_matmul_dimension_mismatch(f8):
     with pytest.raises(FormatError):
         MatQm.zeros(f8, 2, 3) @ MatQm.zeros(f8, 2, 3)
+    with pytest.raises(FormatError):
+        MatQm.zeros(f8, 1, 2).add(MatQm.zeros(f8, 1, 3))
+    with pytest.raises(FormatError):
+        MatQm.zeros(ExtField(2, 4), 2, 2) @ MatQm.zeros(f8, 2, 2)
 
 
 def test_ext_expand_worked_example(worked):
@@ -304,6 +308,13 @@ def test_text_errors(f32):
         mat_from_text("2 5 0 -3\n", ctx=f32)  # no rows, negative column count
     with pytest.raises(FormatError):
         MatQ(f32, [], -3)
+    with pytest.raises(FormatError):
+        MatQm(f32, [])  # no rows and no column count
+    # a bool is not an element code: to_text() would write "True", which
+    # mat_from_text refuses
+    for cls in (MatQm, MatQ):
+        with pytest.raises(FormatError):
+            cls(f32, [[True, 0]])
 
 
 def test_constructor_copies_caller_rows(f8):

@@ -49,6 +49,10 @@ def test_splitmix_determinism_and_below():
     assert set(draws) <= set(range(6))
     with pytest.raises(ParameterError):
         g.below(0)
+    # past 2^64 the limit 2^64 - (2^64 mod n) is 0, so no word would be accepted
+    with pytest.raises(ParameterError):
+        g.below(2**64 + 1)
+    assert SplitMix64(7).below(2**64) == SplitMix64(7).next_u64()
 
 
 def test_trial_rng_contract():
@@ -137,6 +141,7 @@ def test_worked_example_error_factors():
 
 def test_success_lower_bound_values():
     assert success_lower_bound(0, 0, 4, 2) == (Fraction(1), Fraction(1))
+    assert success_lower_bound(0, 10**12, 1, 2) == (1, 1)
     product, simple = success_lower_bound(2, 2, 4, 2)
     assert product == Fraction(255, 256) * Fraction(15, 16) == Fraction(3825, 4096)
     assert simple == Fraction(7, 8)
