@@ -39,6 +39,8 @@ class GabidulinSpec:
     def __post_init__(self):
         object.__setattr__(self, "g", tuple(self.g))
         n = len(self.g)
+        if type(self.k) is not int:
+            raise FormatError(f"dimension k must be an int, got {self.k!r}")
         if not 1 <= self.k <= n:
             raise ParameterError(f"dimension k={self.k} must satisfy 1 <= k <= n={n}")
         if n > self.ctx.m:

@@ -182,7 +182,7 @@ def _result_type(a: MatQm, b: MatQm) -> type[MatQm]:
     return MatQ if isinstance(a, MatQ) and isinstance(b, MatQ) else MatQm
 
 
-def mat_from_text(text: str, ctx: ExtField | None = None, subfield: bool = False) -> MatQm:
+def mat_from_text(text: str, ctx: ExtField | None = None) -> MatQm:
     """Parse the matrix textual format; builds a default field if ctx is None."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -207,7 +207,7 @@ def mat_from_text(text: str, ctx: ExtField | None = None, subfield: bool = False
         except ValueError as exc:
             raise FormatError(f"malformed matrix row {ln!r}") from exc
         data.append(row)
-    return (MatQ if subfield else MatQm)(ctx, data, cols)
+    return MatQm(ctx, data, cols)
 
 
 # -- the coordinate-expansion map ----------------------------------------------------

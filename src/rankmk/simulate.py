@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .codes import GabidulinSpec, LinearCodeSpec, moore_matrix, resolve_code
 from .decoder import FailureReason, decode
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .fields import ExtField, _check_q_m, _check_rabin_size
 from .matrix import MatQ, MatQm, rank_q, rank_qm
 
@@ -191,6 +191,9 @@ class SimConfig:
     mode: str = "uniform"
 
     def __post_init__(self):
+        for name in ("ell", "t", "trials", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise FormatError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.mode not in ("uniform", "fullrank"):
             raise ParameterError(f"mode must be 'uniform' or 'fullrank', got {self.mode!r}")
         if self.trials < 1:
@@ -227,13 +230,7 @@ class SimReport:
         return self.successes / self.config.trials
 
     def tallies(self) -> dict[str, int]:
-        return {
-            "successes": self.successes,
-            "support_failures": self.support_failures,
-            "erasure_failures": self.erasure_failures,
-            "verification_failures": self.verification_failures,
-            "miscorrections": self.miscorrections,
-        }
+        return {name: getattr(self, name) for name in _TALLIES}
 
     def to_csv(self) -> str:
         cfg = self.config
@@ -270,8 +267,17 @@ class SimReport:
         )
 
 
-_SUPPORT_REASONS = (FailureReason.TOO_MANY_ERRORS, FailureReason.SUPPORT_DIMENSION_MISMATCH)
-_ERASURE_REASONS = (FailureReason.RANK_DEFICIENT, FailureReason.INCONSISTENT)
+# The CSV tally of each decode result: success (None) and every reason.  A
+# success that returns a word other than the sent one is a miscorrection.
+_TALLY_OF = {
+    None: "successes",
+    FailureReason.TOO_MANY_ERRORS: "support_failures",
+    FailureReason.SUPPORT_DIMENSION_MISMATCH: "support_failures",
+    FailureReason.RANK_DEFICIENT: "erasure_failures",
+    FailureReason.INCONSISTENT: "erasure_failures",
+    FailureReason.VERIFICATION_FAILED: "verification_failures",
+}
+_TALLIES = ("successes", "support_failures", "erasure_failures", "verification_failures", "miscorrections")
 
 
 def _spans_kernel(basis: MatQ, x: MatQm) -> bool:
@@ -284,6 +290,18 @@ def _spans_kernel(basis: MatQ, x: MatQm) -> bool:
     return rank_q(basis) == basis.rows == x.cols - rank_q(x)
 
 
+def _trial(cfg: SimConfig, code: LinearCodeSpec, i: int, check_support_duality: bool) -> tuple[str, bool]:
+    """Trial i: its tally name, and whether it kept support duality (true
+    unless the check is on and a success's basis fails it)."""
+    rng = trial_rng(cfg.seed, i)
+    sent = rand_matrix(rng, code.ctx, cfg.ell, code.k) @ code.gen
+    err, _, _ = sample_error(rng, code.ctx, cfg.ell, code.n, cfg.t, cfg.mode)
+    outcome = decode(code.h, sent.add(err), code.d)
+    tally = "miscorrections" if outcome.success and outcome.c_hat != sent else _TALLY_OF[outcome.reason]
+    checked = check_support_duality and outcome.success
+    return tally, not checked or _spans_kernel(outcome.b_hat, outcome.h_sub)
+
+
 def run_trials(cfg: SimConfig, check_support_duality: bool = False) -> SimReport:
     """Sample, encode, corrupt, decode and tally `cfg.trials` independent trials.
 
@@ -291,47 +309,26 @@ def run_trials(cfg: SimConfig, check_support_duality: bool = False) -> SimReport
     every successful decode also verifies that the recovered support basis
     spans the F_q-kernel of the expanded trailing parity-check rows.
     """
-    resolved = resolve_code(cfg.code)
-    ctx, h, gen = resolved.ctx, resolved.h, resolved.gen
-    n, k, d = resolved.n, resolved.k, resolved.d
-    product, simple = success_lower_bound(cfg.t, cfg.ell, ctx.m, ctx.q)
+    code = resolve_code(cfg.code)
+    product, simple = success_lower_bound(cfg.t, cfg.ell, code.ctx.m, code.ctx.q)
     start = time.perf_counter()
-    successes = support_f = erasure_f = verify_f = miscorrections = 0
-    duality_violations = 0 if check_support_duality else None
+    counts = dict.fromkeys(_TALLIES, 0)
+    violations = 0
     for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        msg = rand_matrix(rng, ctx, cfg.ell, k)
-        code_word = msg @ gen
-        err, _, _ = sample_error(rng, ctx, cfg.ell, n, cfg.t, cfg.mode)
-        outcome = decode(h, code_word.add(err), d)
-        if outcome.success:
-            if outcome.c_hat == code_word:
-                successes += 1
-            else:
-                miscorrections += 1
-            if check_support_duality and not _spans_kernel(outcome.b_hat, outcome.h_sub):
-                duality_violations += 1
-        elif outcome.reason in _SUPPORT_REASONS:
-            support_f += 1
-        elif outcome.reason in _ERASURE_REASONS:
-            erasure_f += 1
-        else:
-            verify_f += 1
-    low, high = wilson_interval(successes, cfg.trials)
+        tally, dual_ok = _trial(cfg, code, i, check_support_duality)
+        counts[tally] += 1
+        violations += not dual_ok
+    low, high = wilson_interval(counts["successes"], cfg.trials)
     return SimReport(
         config=cfg,
-        successes=successes,
-        support_failures=support_f,
-        erasure_failures=erasure_f,
-        verification_failures=verify_f,
-        miscorrections=miscorrections,
+        **counts,
         bound_product=product,
         bound_simple=simple,
         wilson_low=low,
         wilson_high=high,
         wall_time_s=time.perf_counter() - start,
-        duality_violations=duality_violations,
-        bound_applies=None if d is None else cfg.t <= d - 2,
+        duality_violations=violations if check_support_duality else None,
+        bound_applies=None if code.d is None else cfg.t <= code.d - 2,
     )
 
 

@@ -54,6 +54,9 @@ def test_locators_checked_where_they_enter(bad):
     ctx = ExtField(2, 4)
     with pytest.raises(FormatError):
         GabidulinSpec(ctx, (bad, 2), 1)
+    # nor is it a dimension: k = 1.5 would give d = 3.5, and k = True a [2, 1] code
+    with pytest.raises(ParameterError if type(bad) is int else FormatError):
+        GabidulinSpec(ctx, (1, 2), bad)
     with pytest.raises(FormatError):
         moore_matrix(ctx, [bad, 2], 2)
     with pytest.raises(FormatError):

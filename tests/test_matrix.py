@@ -282,7 +282,7 @@ def test_text_roundtrip(f32, worked):
     assert again == worked["H"]
     assert again.to_text() == text
     sub = MatQ(f32, [[1, 0], [0, 1]])
-    assert mat_from_text(sub.to_text(), ctx=f32, subfield=True) == sub
+    assert MatQ(f32, mat_from_text(sub.to_text(), ctx=f32).data) == sub
     empty = MatQm.zeros(f32, 0, 3)
     assert mat_from_text(empty.to_text(), ctx=f32) == empty
 
@@ -303,7 +303,7 @@ def test_text_errors(f32):
     with pytest.raises(FormatError):
         mat_from_text("2 5 1 2\n1 -1\n", ctx=f32)
     with pytest.raises(FormatError):
-        mat_from_text("2 5 1 2\n1 2\n", ctx=f32, subfield=True)  # 2 = q
+        MatQ(f32, mat_from_text("2 5 1 2\n1 2\n", ctx=f32).data)  # 2 = q
     with pytest.raises(FormatError):
         mat_from_text("2 5 0 -3\n", ctx=f32)  # no rows, negative column count
     with pytest.raises(FormatError):

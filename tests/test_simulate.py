@@ -8,8 +8,9 @@ import pytest
 
 from conftest import gab_code, planted_word
 from rankmk.codes import GabidulinSpec, LinearCodeSpec
-from rankmk.decoder import decode
-from rankmk.errors import ParameterError
+from rankmk import simulate
+from rankmk.decoder import DecodeOutcome, FailureReason, decode
+from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import MatQ, MatQm, ext_expand, rank_q, rank_qm
 from rankmk.simulate import (
@@ -246,6 +247,40 @@ def test_sim_config_validation():
         SimConfig(code=code, ell=2, t=1, trials=0, seed=0)
     with pytest.raises(ParameterError):
         SimConfig(code=code, ell=2, t=1, trials=10, seed=0, mode="sometimes")
+    good = dict(ell=2, t=1, trials=10, seed=0)
+    for name, bad in itertools.product(good, (1.0, 1.5, True)):
+        with pytest.raises(FormatError):
+            SimConfig(code=code, **{**good, name: bad})
+
+
+# The CSV row of each decode failure reason.
+ROW_OF_REASON = {
+    FailureReason.TOO_MANY_ERRORS: "support_failures",
+    FailureReason.SUPPORT_DIMENSION_MISMATCH: "support_failures",
+    FailureReason.RANK_DEFICIENT: "erasure_failures",
+    FailureReason.INCONSISTENT: "erasure_failures",
+    FailureReason.VERIFICATION_FAILED: "verification_failures",
+}
+
+
+@pytest.mark.parametrize(
+    "reason, t, row",
+    [(None, 0, "successes"), (None, 2, "miscorrections")] + [(r, 2, row) for r, row in ROW_OF_REASON.items()],
+)
+def test_run_trials_counts_each_outcome_in_its_row(monkeypatch, reason, t, row):
+    # a stub decoder reaches the outcomes no seeded run does; its "success"
+    # returns the received word, which is the sent word only when t = 0
+    assert set(ROW_OF_REASON) == set(FailureReason)
+
+    def stub(h, received, d=None):
+        if reason is None:
+            return DecodeOutcome(success=True, reason=None, t_hat=t, c_hat=received)
+        return DecodeOutcome.failed(reason, t, False, "stub")
+
+    monkeypatch.setattr(simulate, "decode", stub)
+    report = run_trials(SimConfig(code=gab_code(2, 4, 4, 1), ell=2, t=t, trials=3, seed=0))
+    expected = {f"{name},{3 if name == row else 0}" for name in report.tallies()}
+    assert expected <= set(report.to_csv().splitlines())
 
 
 def test_run_trials_rejects_t_above_ell_before_any_trial():
