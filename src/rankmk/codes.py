@@ -70,12 +70,21 @@ class LinearCodeSpec:
     gen: MatQm | None = field(default=None)
 
     def __post_init__(self):
+        if self.d is not None and type(self.d) is not int:
+            raise FormatError(f"distance d must be an int, got {self.d!r}")
         if self.d is not None and not 1 <= self.d <= self.h.rows + 1:
             raise ParameterError(f"distance d={self.d} is outside 1 <= d <= n - k + 1 = {self.h.rows + 1}")
         if rank_qm(self.h) != self.h.rows:
             raise ParameterError("parity-check matrix must have full row rank")
         if self.gen is not None and not (self.h @ self.gen.transpose()).is_zero():
             raise ParameterError("generator rows are not annihilated by the parity-check matrix")
+
+    @classmethod
+    def _wrap(cls, h: MatQm, d: int | None, gen: MatQm) -> "LinearCodeSpec":
+        """Adopt a pair that resolve_code derived as it is: no checks."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(h=h, d=d, gen=gen)
+        return spec
 
     @property
     def ctx(self) -> ExtField:
@@ -172,10 +181,13 @@ def code_spec_from_text(text: str) -> GabidulinSpec | LinearCodeSpec:
 
 
 def resolve_code(spec: GabidulinSpec | LinearCodeSpec) -> LinearCodeSpec:
-    """Normalize either spec kind to a LinearCodeSpec with a generator attached."""
+    """Normalize either spec kind to a LinearCodeSpec with a generator attached.
+
+    The pair is a checked full-rank matrix and its kernel basis, so it is
+    adopted without repeating LinearCodeSpec's checks."""
     if isinstance(spec, GabidulinSpec):
         gen = gabidulin_generator(spec)
-        return LinearCodeSpec(h=parity_check_from_generator(gen), d=spec.d, gen=gen)
+        return LinearCodeSpec._wrap(parity_check_from_generator(gen), spec.d, gen)
     if spec.gen is None:
-        return LinearCodeSpec(h=spec.h, d=spec.d, gen=right_kernel_qm(spec.h))
+        return LinearCodeSpec._wrap(spec.h, spec.d, right_kernel_qm(spec.h))
     return spec

@@ -7,11 +7,14 @@ residue class of the indeterminate modulo the field polynomial.  Elements of
 the subfield F_q are exactly the codes below q, and F_q arithmetic on them is
 plain integer arithmetic mod q.
 
-Multiplication reduces modulo the field polynomial in O(m^2).  A field with
-at most TABLE_LIMIT elements walks the powers of alpha once at construction,
-each step a multiply-by-alpha in O(m).  That walk decides primitivity: alpha
-is primitive exactly when the walk first returns to 1 after q^m - 1 steps.
-Larger fields decide primitivity at construction by powering alpha instead.
+Multiplication reduces modulo the field polynomial f in O(m^2).  A field
+with at most TABLE_LIMIT elements and f(0) != 0 first walks the powers of
+alpha, each step a multiply-by-alpha in O(m).  alpha is primitive exactly
+when the walk first returns to 1 after q^m - 1 steps, and that also proves f
+irreducible: q^m - 1 distinct powers of alpha make every nonzero residue a
+unit.  Only when the walk is skipped or finds alpha not primitive does Rabin's
+irreducibility test run; larger fields run it first and then decide
+primitivity by powering alpha.
 For a primitive polynomial the walk's discrete-log tables are kept, so
 multiplication, inversion and powering become table lookups.  For odd q those
 fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
@@ -169,7 +172,7 @@ class ExtField:
 
     `is_primitive` is True when alpha generates the multiplicative group; it
     is decided at construction, by the table walk up to TABLE_LIMIT elements
-    and by powering past it.
+    and by powering past it.  A primitive walk stands in for Rabin's test.
 
     Immutable after construction; all operations are pure functions of their
     integer arguments, so one instance is safely shared across threads.
@@ -206,13 +209,13 @@ class ExtField:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None  # odd q with tables only
-        if not self._is_irreducible():
-            raise ParameterError(f"field polynomial {modulus} is reducible over F_{q}")
-
-        if self.order <= TABLE_LIMIT:
-            self.is_primitive = self._build_tables()
-        else:
-            self.is_primitive = self._check_primitive()
+        # The walk needs alpha to be a unit, so x | f skips it.
+        self.is_primitive = self.order <= TABLE_LIMIT and modulus[0] != 0 and self._build_tables()
+        if not self.is_primitive:
+            if not self._is_irreducible():
+                raise ParameterError(f"field polynomial {modulus} is reducible over F_{q}")
+            if self.order > TABLE_LIMIT:
+                self.is_primitive = self._check_primitive()
 
     # -- construction helpers -------------------------------------------------
 
@@ -265,10 +268,11 @@ class ExtField:
     def _build_tables(self) -> bool:
         """Walk 1, alpha, alpha^2, ... and return whether alpha is primitive.
 
-        f is irreducible, so unless alpha = 0 its powers return to 1 after its
-        multiplicative order, which divides n = q^m - 1.  alpha is primitive
-        exactly when the walk meets neither 0 nor 1 before step n and meets 1
-        at step n.  Only then are the exp, log (and for odd q Zech) tables kept."""
+        f(0) != 0, so alpha is a unit of F_q[x]/(f) and its powers return to 1
+        after its order, at most the number u <= n = q^m - 1 of units.  alpha
+        is primitive exactly when the walk meets no 1 before step n: then u = n,
+        every nonzero residue is a unit, and f is irreducible.  Only then are
+        the exp, log (and for odd q Zech) tables kept."""
         n = self.order - 1
         step = self._alpha_step()
         exp = [1] * n
@@ -276,12 +280,10 @@ class ExtField:
         v = 1
         for i in range(1, n):
             v = step(v)
-            if v <= 1:
+            if v == 1:
                 return False
             exp[i] = v
             log[v] = i
-        if step(v) != 1:  # alpha = 0: f = x over F_2, where n = 1
-            return False
         self._exp = exp + exp
         self._log = log
         if self.q != 2:

@@ -177,38 +177,29 @@ def test_criterion_4_beyond_guarantee_rate(high_rate_report):
     )
 
 
-def _rank_gf2(rows, cols):
-    rows = list(rows)
-    rank = 0
-    for c in range(cols):
-        bit = 1 << c
-        piv = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+def _rank_tallies(q, n, m):
+    """Rank tally of every n x m matrix over F_q, by its own enumeration.
 
+    The matrices are walked row by row, each prefix carrying its row space,
+    so a row costs one membership test.  A row outside the span raises the
+    rank by one, and the longer prefix spans every s + c * row."""
+    rows = list(itertools.product(range(q), repeat=m))
+    tallies = [0] * (min(n, m) + 1)
 
-def _rank_mod_q(rows, cols, q):
-    rows = [list(r) for r in rows]
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % q), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], q - 2, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] % q
-            if f:
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    def walk(depth, span, rank):
+        if depth == n - 1:
+            for row in rows:
+                tallies[rank + (row not in span)] += 1
+            return
+        for row in rows:
+            if row in span:
+                walk(depth + 1, span, rank)
+            else:
+                grown = {tuple((a + c * b) % q for a, b in zip(s, row)) for s in span for c in range(q)}
+                walk(depth + 1, grown, rank + 1)
+
+    walk(0, {(0,) * m}, 0)
+    return tallies
 
 
 def test_criterion_5_counting_identity():
@@ -217,15 +208,7 @@ def test_criterion_5_counting_identity():
     for q in (2, 3):
         shapes = [(n, m) for n in range(1, 17) for m in range(1, 17) if q ** (n * m) <= 2**16]
         for n, m in shapes:
-            tallies = [0] * (min(n, m) + 1)
-            if q == 2:
-                for bits in range(2 ** (n * m)):
-                    rows = [(bits >> (i * m)) & ((1 << m) - 1) for i in range(n)]
-                    tallies[_rank_gf2(rows, m)] += 1
-            else:
-                for entries in itertools.product(range(q), repeat=n * m):
-                    rows = [entries[i * m : (i + 1) * m] for i in range(n)]
-                    tallies[_rank_mod_q(rows, m, q)] += 1
+            tallies = _rank_tallies(q, n, m)
             for t, count in enumerate(tallies):
                 assert count == count_matrices_rank(n, m, t, q), (q, n, m, t)
             assert sum(tallies) == q ** (n * m)

@@ -171,6 +171,10 @@ def test_linear_code_spec_validation():
         with pytest.raises(ParameterError):
             LinearCodeSpec(h=h, d=d)
     assert LinearCodeSpec(h=h, d=1).d == 1 and LinearCodeSpec(h=h, d=3).d == 3
+    # d is an int: a float or a bool is refused, not compared as a number
+    for d in (2.5, True):
+        with pytest.raises(FormatError):
+            LinearCodeSpec(h=h, d=d)
 
 
 def test_generator_from_parity_check():
@@ -247,3 +251,16 @@ def test_resolve_code_attaches_generator(f32):
     resolved = resolve_code(bare)
     assert resolved.gen is not None
     assert (resolved.h @ resolved.gen.transpose()).is_zero()
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 4, 1), (2, 5, 5, 2), (3, 4, 4, 2), (5, 3, 3, 1)])
+def test_resolve_code_matches_checked_constructor(q, m, n, k):
+    # resolve_code adopts the pair it derives unchecked; the checked
+    # constructor must accept that pair and build an equal spec
+    ctx = ExtField(q, m)
+    spec = GabidulinSpec(ctx, tuple(ctx.alpha_pow(i) for i in range(n)), k)
+    gen = gabidulin_generator(spec)
+    resolved = resolve_code(spec)
+    assert resolved == LinearCodeSpec(h=parity_check_from_generator(gen), d=spec.d, gen=gen)
+    bare = LinearCodeSpec(h=resolved.h, d=spec.d)
+    assert resolve_code(bare) == LinearCodeSpec(h=bare.h, d=bare.d, gen=right_kernel_qm(bare.h))

@@ -230,6 +230,30 @@ def test_irreducibility_matches_trial_division(q, max_m):
             assert _accepted(q, m, f) == _irreducible_by_trial_division(f, q, m), f
 
 
+@pytest.mark.parametrize("q, max_m", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_primitive_walk_implies_irreducible(q, max_m, monkeypatch):
+    # With Rabin's test switched off every modulus builds, and is_primitive is
+    # the walk's own verdict: it must never call a reducible modulus primitive
+    monkeypatch.setattr(ExtField, "_is_irreducible", lambda self: True)
+    for m in range(1, max_m + 1):
+        for low in itertools.product(range(q), repeat=m):
+            f = list(low) + [1]
+            ctx = ExtField(q, m, f)
+            assert not ctx.is_primitive or _irreducible_by_trial_division(f, q, m), f
+
+
+def test_modulus_divisible_by_x_skips_walk(monkeypatch):
+    # x | f makes alpha a zero divisor that never returns to 1, so the walk
+    # would run all q^m - 1 steps; Rabin's test refuses f instead
+    def refuse(self):
+        raise AssertionError("the table walk ran")
+
+    monkeypatch.setattr(ExtField, "_build_tables", refuse)
+    for q, m in ((3, 12), (2, 4)):
+        with pytest.raises(ParameterError, match="reducible"):
+            ExtField(q, m, (0, 1) + (0,) * (m - 2) + (1,))  # x^m + x
+
+
 def test_degree_32_spec_builds_quickly():
     # x^32 + x^22 + x^2 + x + 1 is irreducible; trial division by the ~131k
     # monic polynomials of degree <= 16 took seconds to show it.
@@ -320,7 +344,13 @@ def test_primitivity_past_table_limit(middle, primitive):
         ctx.alpha_pow(1)
 
 
-def test_default_moduli_primitive():
+def test_default_moduli_primitive(monkeypatch):
+    # each default walk finds alpha primitive, which proves f irreducible,
+    # so no default field runs Rabin's test
+    def refuse(self):
+        raise AssertionError("Rabin's test ran")
+
+    monkeypatch.setattr(ExtField, "_is_irreducible", refuse)
     for (q, m) in DEFAULT_MODULI:
         assert ExtField(q, m).is_primitive, (q, m)
 
