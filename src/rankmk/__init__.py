@@ -26,7 +26,7 @@ from .decoder import (
     recover_support,
     syndrome,
 )
-from .errors import FormatError, InconsistentSystemError, ParameterError, RankDeficientError
+from .errors import FormatError, ParameterError, RankDeficientError
 from .fields import ExtField
 from .matrix import (
     MatQ,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import InconsistentSystemError, ParameterError, RankDeficientError
+from .errors import ParameterError, RankDeficientError
 from .matrix import (
     MatQ,
     MatQm,
@@ -41,14 +41,13 @@ class FailureReason(enum.Enum):
     """Why a decode failed.  Both decoders can reach TOO_MANY_ERRORS,
     SUPPORT_DIMENSION_MISMATCH and RANK_DEFICIENT; the last needs a nonzero
     codeword of weight <= t_hat < n - k, so it never occurs on an MRD code.
-    INCONSISTENT is unreachable, their erasure system being square; it stays
-    for `erasure_decode` on a general system.  VERIFICATION_FAILED means
+    A square erasure system of full rank always has a solution, so no
+    reason is needed for an inconsistent one.  VERIFICATION_FAILED means
     H @ C_hat^T != 0, the one check run on each success."""
 
     TOO_MANY_ERRORS = "too_many_errors"
     SUPPORT_DIMENSION_MISMATCH = "support_dimension_mismatch"
     RANK_DEFICIENT = "rank_deficient"
-    INCONSISTENT = "inconsistent"
     VERIFICATION_FAILED = "verification_failed"
 
 
@@ -105,15 +104,18 @@ def recover_support(h_sub: MatQm, t_hat: int) -> MatQ:
     return basis
 
 
-def erasure_decode(h: MatQm, synd: MatQm, basis: MatQ) -> MatQm:
-    """Coefficient matrix A solving (H @ B^T) @ A^T = S, given a support basis B."""
-    coeff = h @ basis.transpose()
+def erasure_decode(top: MatQm, r_top: MatQm, basis: MatQ) -> MatQm:
+    """A solving the square system (T @ B^T) @ A^T = R_top: T and R_top are
+    the leading t rows of P @ H and P @ S (`compute_hsub`), B a support
+    basis of t rows.  It is the paper's (H @ B^T) @ A^T = S times the
+    invertible P, whose trailing rows read 0 = 0 as H_sub @ B^T = 0; a basis
+    outside ker(H_sub) is caught only by the decoders' H @ C_hat^T = 0
+    check.  Raises DecodeFailure(RANK_DEFICIENT) if T @ B^T is singular and
+    FormatError if it is not square."""
     try:
-        return solve_right(coeff, synd)
+        return solve_right(top @ basis.transpose(), r_top)
     except RankDeficientError as exc:
         raise DecodeFailure(FailureReason.RANK_DEFICIENT, str(exc)) from exc
-    except InconsistentSystemError as exc:
-        raise DecodeFailure(FailureReason.INCONSISTENT, str(exc)) from exc
 
 
 def _burst_support(h_sub: MatQm, t_hat: int) -> MatQ:

@@ -11,7 +11,3 @@ class ParameterError(ValueError):
 
 class RankDeficientError(ArithmeticError):
     """Linear system has a rank-deficient coefficient matrix (solution not unique)."""
-
-
-class InconsistentSystemError(ArithmeticError):
-    """Linear system has no solution."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import FormatError, InconsistentSystemError, RankDeficientError
+from .errors import FormatError, RankDeficientError
 from .fields import ExtField
 
 
@@ -389,16 +389,13 @@ def right_kernel_q(mat: MatQm) -> MatQ:
 
 
 def solve_right(coeff: MatQm, rhs: MatQm) -> MatQm:
-    """Unique X with coeff @ X^T = rhs.
-
-    Requires coeff to have full column rank; raises RankDeficientError when
-    it does not (solution would not be unique) and InconsistentSystemError
-    when no solution exists.
-    """
+    """Unique X with coeff @ X^T = rhs, for a square coeff of full rank:
+    FormatError if coeff is not square, RankDeficientError if it is singular.
+    The paper's tall erasure system reduces to it (`decoder.erasure_decode`)."""
     b = coeff.cols
+    if coeff.rows != b:
+        raise FormatError(f"coefficient matrix is {coeff.rows}x{b}, not square")
     _, carried, pivots = rref_carry(coeff, rhs)
     if len(pivots) < b:
         raise RankDeficientError(f"coefficient matrix has column rank {len(pivots)} < {b}")
-    if any(any(row) for row in carried.data[b:]):
-        raise InconsistentSystemError("no solution: residual rows are nonzero")
-    return MatQm._wrap(coeff.ctx, carried.data[:b], rhs.cols).transpose()
+    return MatQm._wrap(coeff.ctx, carried.data, rhs.cols).transpose()

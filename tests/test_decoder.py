@@ -19,7 +19,7 @@ from rankmk.decoder import (
     recover_support,
     syndrome,
 )
-from rankmk.errors import ParameterError
+from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
@@ -134,12 +134,22 @@ def test_recover_support_planted_exhaustive():
 # -- erasure decoding -------------------------------------------------------------
 
 
+def _square_system(h, synd):
+    """The erasure step's leading rows T of P @ H and R_top of P @ S."""
+    t_hat, _, reduced, carried = compute_hsub(h, synd)
+    return carried.submatrix(0, t_hat, 0, h.cols), reduced.submatrix(0, t_hat, 0, synd.cols)
+
+
 def test_erasure_decode_worked_example(worked):
-    assert erasure_decode(worked["H"], worked["S"], worked["B"]) == worked["A"]
+    top, r_top = _square_system(worked["H"], worked["S"])
+    assert erasure_decode(top, r_top, worked["B"]) == worked["A"]
+    with pytest.raises(FormatError):  # the paper's tall form is not solved
+        erasure_decode(worked["H"], worked["S"], worked["B"])
 
 
 def test_erasure_decode_zero(worked):
-    a = erasure_decode(worked["H"], MatQm.zeros(worked["H"].ctx, 3, 2), worked["B"])
+    top, _ = _square_system(worked["H"], worked["S"])
+    a = erasure_decode(top, MatQm.zeros(worked["H"].ctx, 2, 2), worked["B"])
     assert a == MatQm.zeros(worked["H"].ctx, 2, 2)
 
 
@@ -150,23 +160,18 @@ def test_erasure_decode_planted_product():
     for _ in range(10):
         err, a0, b0 = sample_error(rng, ctx, 2, 5, 2, "fullrank")
         canon = rref(b0)[0]
-        a = erasure_decode(code.h, code.h @ err.transpose(), canon)
+        a = erasure_decode(*_square_system(code.h, code.h @ err.transpose()), canon)
         assert a @ MatQm(ctx, canon.data, canon.cols) == err
 
 
 def test_erasure_decode_rank_deficient(worked):
-    # t = 4 >= d: H B^T (3x4) cannot have full column rank
-    wide = MatQ(worked["H"].ctx, [[1 if i == j else 0 for j in range(5)] for i in range(4)])
+    # column 2 of T is zero, so a support through coordinate 2 makes T @ B^T singular
+    top, r_top = _square_system(worked["H"], worked["S"])
+    assert not any(row[2] for row in top.data)
+    blind = MatQ(worked["H"].ctx, [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
     with pytest.raises(DecodeFailure) as info:
-        erasure_decode(worked["H"], worked["S"], wide)
+        erasure_decode(top, r_top, blind)
     assert info.value.reason is FailureReason.RANK_DEFICIENT
-
-
-def test_erasure_decode_inconsistent(worked):
-    wrong = MatQ(worked["H"].ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
-    with pytest.raises(DecodeFailure) as info:
-        erasure_decode(worked["H"], worked["S"], wrong)
-    assert info.value.reason is FailureReason.INCONSISTENT
 
 
 # -- full decoding --------------------------------------------------------------

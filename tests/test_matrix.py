@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from conftest import is_rref
-from rankmk.errors import FormatError, InconsistentSystemError, RankDeficientError
+from rankmk.errors import FormatError, RankDeficientError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
@@ -17,6 +17,7 @@ from rankmk.matrix import (
     right_kernel_q,
     right_kernel_qm,
     rref,
+    rref_carry,
     rref_with_transform,
     solve_right,
 )
@@ -89,6 +90,11 @@ def test_matmul_dimension_mismatch(f8):
         MatQm.zeros(f8, 1, 2).add(MatQm.zeros(f8, 1, 3))
     with pytest.raises(FormatError):
         MatQm.zeros(ExtField(2, 4), 2, 2) @ MatQm.zeros(f8, 2, 2)
+    # the shared conformability check: fields first, then row counts
+    with pytest.raises(FormatError, match="different fields"):
+        MatQm.zeros(f8, 1, 2).add(MatQm.zeros(ExtField(2, 4), 1, 2))
+    with pytest.raises(FormatError, match="row mismatch"):
+        rref_carry(MatQm.zeros(f8, 2, 2), MatQm.zeros(f8, 3, 1))
 
 
 def test_ext_expand_worked_example(worked):
@@ -224,26 +230,28 @@ def test_kernel_q_of_extension_matrix(f8):
 
 
 def test_solve_right_worked_example(worked):
-    coeff = worked["H"] @ MatQm(worked["B"].ctx, worked["B"].data, worked["B"].cols).transpose()
-    assert solve_right(coeff, worked["S"]) == worked["A"]
+    # the square system of the decoder: the leading rows of P @ H and P @ S
+    reduced, carried, _ = rref_carry(worked["S"], worked["H"])
+    coeff = carried.submatrix(0, 2, 0, 5) @ worked["B"].transpose()
+    assert solve_right(coeff, reduced.submatrix(0, 2, 0, 2)) == worked["A"]
 
 
 def test_solve_right_zero_rhs(f8):
     rng = SplitMix64(9)
-    coeff = rand_matrix(rng, f8, 4, 2)
-    while rank_qm(coeff) < 2:
-        coeff = rand_matrix(rng, f8, 4, 2)
+    coeff = rand_matrix(rng, f8, 4, 4)
+    while rank_qm(coeff) < 4:
+        coeff = rand_matrix(rng, f8, 4, 4)
     x = solve_right(coeff, MatQm.zeros(f8, 4, 3))
-    assert x == MatQm.zeros(f8, 3, 2)
+    assert x == MatQm.zeros(f8, 3, 4)
 
 
 def test_solve_right_random_plugback(f8):
     rng = SplitMix64(10)
     for _ in range(25):
-        coeff = rand_matrix(rng, f8, 4, 2)
-        while rank_qm(coeff) < 2:
-            coeff = rand_matrix(rng, f8, 4, 2)
-        x0 = rand_matrix(rng, f8, 3, 2)
+        coeff = rand_matrix(rng, f8, 3, 3)
+        while rank_qm(coeff) < 3:
+            coeff = rand_matrix(rng, f8, 3, 3)
+        x0 = rand_matrix(rng, f8, 2, 3)
         rhs = coeff @ x0.transpose()
         x = solve_right(coeff, rhs)
         assert coeff @ x.transpose() == rhs
@@ -251,14 +259,12 @@ def test_solve_right_random_plugback(f8):
 
 
 def test_solve_right_failures(f8):
-    eye = MatQm.identity(f8, 2)
-    tall = MatQm(f8, eye.data + [[0, 0]])
-    rhs = MatQm(f8, [[0, 0], [0, 0], [1, 0]])
-    with pytest.raises(InconsistentSystemError):
-        solve_right(tall, rhs)
-    wide = MatQm(f8, [[1, 1], [0, 0], [0, 0]])  # column rank 1
+    for shape in ((3, 2), (2, 3)):  # only square systems are solved
+        with pytest.raises(FormatError, match="not square"):
+            solve_right(MatQm.zeros(f8, *shape), MatQm.zeros(f8, shape[0], 1))
+    singular = MatQm(f8, [[1, 1], [0, 0]])
     with pytest.raises(RankDeficientError):
-        solve_right(wide, MatQm.zeros(f8, 3, 1))
+        solve_right(singular, MatQm.identity(f8, 2))
 
 
 def test_orth_complement(f8):

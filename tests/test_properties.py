@@ -35,6 +35,7 @@ from rankmk.matrix import (
     right_kernel_q,
     right_kernel_qm,
 )
+from rankmk.simulate import lo_condition_check
 from test_decoder import _condition_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -125,12 +126,42 @@ def test_success_has_the_syndrome_rank_as_weight(case):
     h, received, gabidulin = case
     for dec, weight in ((decode, rank_q), (mk_hamming_decode, _burst_weight)):
         out = dec(h, received)
-        assert out.reason is not FailureReason.INCONSISTENT
         if gabidulin:  # MRD: no nonzero codeword of weight <= t_hat < n - k
             assert out.reason is not FailureReason.RANK_DEFICIENT
         if out.success:
             assert (h @ out.c_hat.transpose()).is_zero()
             assert weight(received.sub(out.c_hat)) == out.t_hat
+
+
+LO_CODES = [gab_code(2, 4, 4, 1), gab_code(2, 5, 5, 1), gab_code(2, 6, 6, 2), gab_code(3, 5, 5, 2)]
+
+
+@st.composite
+def lo_instances(draw):
+    """(code, locators, error, received): a codeword plus A @ B, with B over
+    F_q of t <= d - 2 = n - k - 1 rows, where lo_condition_check is defined."""
+    code = draw(st.sampled_from(LO_CODES))
+    ctx, n = code.ctx, code.n
+    g = tuple(ctx.alpha_pow(i) for i in range(n))
+
+    def matrix(rows, cols, bound):
+        entries = st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols)
+        return MatQm(ctx, draw(st.lists(entries, min_size=rows, max_size=rows)), cols)
+
+    ell = draw(st.integers(1, 4))
+    t = draw(st.integers(0, code.d - 2))
+    err = matrix(ell, t, ctx.order) @ matrix(t, n, ctx.q)
+    return code, g, err, (matrix(ell, code.k, ctx.order) @ code.gen).add(err)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lo_instances())
+def test_decode_success_implies_lo_condition(case):
+    # One direction only: below d - 2 the LO condition also holds on some
+    # words that `decode` fails (see `lo_condition_check`).
+    code, g, err, received = case
+    if decode(code.h, received, code.d).success:
+        assert lo_condition_check(g, code.k, err)
 
 
 FIELDS = [(2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (7, 2)]

@@ -88,13 +88,23 @@ def test_sample_full_rank_uniform_over_rank1():
     assert chi2 < CHI2_8_001
 
 
-def test_sample_full_rank_guards():
+def test_sample_full_rank_guards(monkeypatch):
     ctx = ExtField(2, 3)
     rng = SplitMix64(3)
     with pytest.raises(ParameterError):
         sample_full_rank(rng, ctx, 2, 2, 3)
     with pytest.raises(ParameterError):
         sample_full_rank(rng, ctx, 2, 2, 1, rank_over="bogus")
+    draws = []
+
+    def zeros(rng, ctx, rows, cols, subfield=False):
+        draws.append(1)
+        return MatQm.zeros(ctx, rows, cols)
+
+    monkeypatch.setattr(simulate, "rand_matrix", zeros)
+    with pytest.raises(ParameterError, match="no rank-1 sample"):
+        sample_full_rank(rng, ctx, 2, 2, 1)
+    assert len(draws) == simulate.MAX_REJECTS
 
 
 def test_sample_error_trivial_and_ranks():
@@ -113,6 +123,8 @@ def test_sample_error_trivial_and_ranks():
         sample_error(rng, ctx, 2, 3, 4)
     with pytest.raises(ParameterError):
         sample_error(rng, ctx, 1, 3, 2, "fullrank")
+    with pytest.raises(ParameterError, match="mode must be"):
+        sample_error(rng, ctx, 2, 3, 1, "sometimes")
 
 
 def test_sample_error_fullrank_frequency_meets_bound():
@@ -258,9 +270,14 @@ ROW_OF_REASON = {
     FailureReason.TOO_MANY_ERRORS: "support_failures",
     FailureReason.SUPPORT_DIMENSION_MISMATCH: "support_failures",
     FailureReason.RANK_DEFICIENT: "erasure_failures",
-    FailureReason.INCONSISTENT: "erasure_failures",
     FailureReason.VERIFICATION_FAILED: "verification_failures",
 }
+
+
+def test_tally_table_maps_every_reason():
+    # an unmapped reason would otherwise raise only when a trial reaches it
+    assert set(simulate._TALLY_OF) == set(FailureReason) | {None}
+    assert set(ROW_OF_REASON) == set(FailureReason)
 
 
 @pytest.mark.parametrize(
@@ -270,8 +287,6 @@ ROW_OF_REASON = {
 def test_run_trials_counts_each_outcome_in_its_row(monkeypatch, reason, t, row):
     # a stub decoder reaches the outcomes no seeded run does; its "success"
     # returns the received word, which is the sent word only when t = 0
-    assert set(ROW_OF_REASON) == set(FailureReason)
-
     def stub(h, received, d=None):
         if reason is None:
             return DecodeOutcome(success=True, reason=None, t_hat=t, c_hat=received)
