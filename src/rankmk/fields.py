@@ -20,6 +20,13 @@ multiplication, inversion and powering become table lookups.  For odd q those
 fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
 addition, subtraction and negation are table lookups too; for q = 2 addition
 is XOR, and fields without tables add digit by digit.
+
+Gaussian elimination (`matrix._eliminate`) does its row operations through
+two private row kernels, `_scale_row` (s * row) and `_sub_scaled_row`
+(row - f * prow).  Each picks its arithmetic once per row, not per entry:
+with tables a product is one exp lookup from log f, and the difference is XOR
+for q = 2 and the Zech `sub` for odd q; without tables each entry runs `mul`
+and `sub`.  The results are those of the per-entry operations.
 """
 
 from __future__ import annotations
@@ -405,6 +412,31 @@ class ExtField:
         if self._log is not None:
             return self._exp[(self._log[a] * e) % n]
         return self._pow_raw(a, e % n)
+
+    # -- row kernels ------------------------------------------------------------
+
+    def _scale_row(self, s: int, row: Sequence[int]) -> list[int]:
+        """[s * a for a in row], choosing the arithmetic once per row."""
+        log = self._log
+        if log is None or s == 0:
+            mul = self.mul
+            return [mul(s, a) for a in row]
+        exp, ls = self._exp, log[s]
+        return [exp[ls + log[a]] if a else 0 for a in row]
+
+    def _sub_scaled_row(self, row: Sequence[int], f: int, prow: Sequence[int]) -> list[int]:
+        """[a - f * b for a, b in zip(row, prow)], choosing the arithmetic
+        once per row: with tables each product is one exp lookup, and for
+        q = 2 the difference is XOR."""
+        log = self._log
+        if log is None or f == 0:
+            mul, sub = self.mul, self.sub
+            return [sub(a, mul(f, b)) for a, b in zip(row, prow)]
+        exp, lf = self._exp, log[f]
+        if self.q == 2:
+            return [a ^ exp[lf + log[b]] if b else a for a, b in zip(row, prow)]
+        sub = self.sub
+        return [sub(a, exp[lf + log[b]]) if b else a for a, b in zip(row, prow)]
 
     def frobenius(self, a: int, i: int) -> int:
         """The q^i-power map a -> a^(q^i); identity for i = 0 or i = m."""

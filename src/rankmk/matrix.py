@@ -19,6 +19,9 @@ already holds its m coordinate bits, so column j of `ext_expand(M)` is the
 integer sum(M[i][j] << m*i).  Every `rref` (and so odd q throughout) runs
 the generic `_eliminate`; `right_kernel_qm` runs one, on the column-reversed
 matrix, whose free-column vectors already are the RREF kernel basis.
+`_eliminate` hands each row operation, whole rows at a time, to the field's
+row kernels `ExtField._scale_row` and `ExtField._sub_scaled_row`, which pick
+the arithmetic (table lookups or per-entry operations) once per row.
 
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
@@ -304,26 +307,26 @@ def _eliminate(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
     """RREF in place on the row lists `work`; scans the first `cols` columns
     left to right, picks the topmost nonzero pivot, normalizes it to 1 and
     clears the column above and below.  Row operations act on whole rows, so
-    columns past `cols` are carried.  Rows are replaced, never mutated."""
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    columns past `cols` are carried; the field's row kernels compute them.
+    Rows are replaced, never mutated."""
+    scale, sub_scaled = ctx._scale_row, ctx._sub_scaled_row
     nrows = len(work)
     pivots = []
     pr = 0
     for c in range(cols):
-        pivot = next((i for i in range(pr, nrows) if work[i][c]), None)
-        if pivot is None:
+        for pivot in range(pr, nrows):
+            if work[pivot][c]:
+                break
+        else:
             continue
         work[pr], work[pivot] = work[pivot], work[pr]
-        lead = work[pr][c]
-        if lead != 1:
-            s = inv(lead)
-            work[pr] = [mul(s, a) for a in work[pr]]
         prow = work[pr]
+        if prow[c] != 1:
+            prow = work[pr] = scale(ctx.inv(prow[c]), prow)
         for i in range(nrows):
             f = work[i][c]
-            if i == pr or f == 0:
-                continue
-            work[i] = [sub(a, mul(f, b)) for a, b in zip(work[i], prow)]
+            if f and i != pr:
+                work[i] = sub_scaled(work[i], f, prow)
         pivots.append(c)
         pr += 1
         if pr == nrows:

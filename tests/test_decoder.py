@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from conftest import all_rref_bases, gab_code, is_rref, planted_word
-from rankmk.codes import LinearCodeSpec, min_rank_distance_exhaustive, resolve_code
+from rankmk.codes import GabidulinSpec, LinearCodeSpec, min_rank_distance_exhaustive, resolve_code
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -345,6 +345,21 @@ def test_decode_odd_characteristic():
             for coeffs in itertools.product(range(3), repeat=out.t_hat)
         }
         assert is_rref(out.b_hat) and len(span) == 3**out.t_hat and span == kernel
+
+
+def test_decode_over_untabled_field():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but alpha has order 5, so the
+    # field keeps no tables and every elimination runs raw arithmetic.
+    ctx = ExtField(2, 4, (1, 1, 1, 1, 1))
+    assert not ctx.is_primitive and ctx._log is None
+    code = resolve_code(GabidulinSpec(ctx, (1, 2, 4, 8), 1))
+    assert code.d == 4
+    for i in range(300):
+        rng = trial_rng(5, i)
+        word = rand_matrix(rng, ctx, 2, code.k) @ code.gen
+        err, _, _ = sample_error(rng, ctx, 2, code.n, 2, "fullrank")
+        out = decode(code.h, word.add(err), code.d)
+        assert out.success and out.c_hat == word, i
 
 
 def test_guarantee_on_non_mrd_codes():

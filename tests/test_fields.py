@@ -118,6 +118,37 @@ def test_digit_loop_add_sub_neg_match_digits():
     _check_add_sub_neg(ctx)
 
 
+# Tabled q = 2 (F_16, F_256), tabled with Zech tables (F_81, F_25, and F_7
+# with m = 1), and untabled: irreducible moduli whose alpha is not primitive.
+ROW_KERNEL_FIELDS = {
+    "F16": (2, 4, None),
+    "F256": (2, 8, None),
+    "F81": (3, 4, None),
+    "F25": (5, 2, None),
+    "F7": (7, 1, None),
+    "F9-untabled": (3, 2, (1, 0, 1)),
+    "F16-untabled": (2, 4, (1, 1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("q,m,modulus", ROW_KERNEL_FIELDS.values(), ids=ROW_KERNEL_FIELDS)
+def test_row_kernels_match_per_entry_arithmetic(q, m, modulus):
+    ctx = ExtField(q, m, modulus)
+    assert (ctx._log is None) == (modulus is not None)
+    assert (ctx._zech is None) == (modulus is not None or q == 2)
+    rng = random.Random(ctx.order)
+    top = ctx.order - 1
+    rows = [[0] * 12] + [[0, 1, top, 0, *rng.choices(range(ctx.order), k=8)] for _ in range(5)]
+    scalars = sorted({0, 1, top, *rng.sample(range(1, ctx.order), min(top, 16))})
+    mul, sub = ctx.mul, ctx.sub
+    for s in scalars:
+        for row in rows:
+            assert ctx._scale_row(s, row) == [mul(s, a) for a in row], (s, row)
+            for prow in rows:
+                want = [sub(a, mul(s, b)) for a, b in zip(row, prow)]
+                assert ctx._sub_scaled_row(row, s, prow) == want, (row, s, prow)
+
+
 def test_subfield_closure():
     ctx = ExtField(3, 2)
     for a in range(3):

@@ -1,10 +1,12 @@
 """Property tests: the shared decoding pipeline and its success condition,
 the dual-code construction, the carried row reduction, the beyond-d-2
-condition, the F_q rank and kernel on both matrix types, and the input
-parsers.
+condition, the F_q rank and kernel on both matrix types, elimination with
+and without field tables, and the input parsers.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+import copy
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +22,7 @@ from rankmk.decoder import (
     decode,
     mk_hamming_decode,
 )
-from rankmk.errors import FormatError, ParameterError
+from rankmk.errors import FormatError, ParameterError, RankDeficientError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
@@ -34,6 +36,7 @@ from rankmk.matrix import (
     rref_with_transform,
     right_kernel_q,
     right_kernel_qm,
+    solve_right,
 )
 from rankmk.simulate import lo_condition_check
 from test_decoder import _condition_oracle
@@ -320,6 +323,61 @@ def test_rank_and_kernel_q_match_generic_elimination(mat):
     assert kernel.rows == mat.cols - rank
     assert is_rref(kernel)
 
+
+# -- elimination with and without field tables -------------------------------------------
+
+TABLED_FIELDS = [ExtField(2, 4), ExtField(2, 8), ExtField(3, 4), ExtField(5, 2), ExtField(7, 1)]
+
+
+def _untabled(ctx: ExtField) -> ExtField:
+    """An equal field without tables: raw multiplication, digit addition."""
+    clone = copy.copy(ctx)
+    clone._log = clone._exp = clone._zech = None
+    return clone
+
+
+@st.composite
+def elimination_cases(draw):
+    """(field, M, C, cols, carried): M is rows x cols, C rows x carried, over a
+    tabled field; M is random, or has a zero row, a zero column, or a last row
+    that combines two others."""
+    ctx = draw(st.sampled_from(TABLED_FIELDS))
+    rows, cols, carried = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    element = st.integers(0, ctx.order - 1)
+    data, other = (
+        draw(st.lists(st.lists(element, min_size=c, max_size=c), min_size=rows, max_size=rows))
+        for c in (cols, carried)
+    )
+    shape = draw(st.sampled_from(["random", "zero row", "zero column", "deficient"]))
+    if shape == "zero row" and rows:
+        data[draw(st.integers(0, rows - 1))] = [0] * cols
+    elif shape == "zero column" and cols:
+        j = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[j] = 0
+    elif shape == "deficient" and rows >= 2:
+        a, b = draw(element), draw(element)
+        data[-1] = [ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(data[0], data[-2])]
+    return ctx, data, other, cols, carried
+
+
+@PROPERTY
+@given(elimination_cases())
+def test_elimination_does_not_depend_on_the_arithmetic_regime(case):
+    ctx, data, other, cols, carried = case
+    plain = _untabled(ctx)
+    assert plain == ctx and plain._log is None
+
+    def eliminate(field):
+        mat, rhs = MatQm(field, data, cols), MatQm(field, other, carried)
+        k = min(mat.rows, cols)
+        try:
+            solved = solve_right(mat.submatrix(0, k, 0, k), rhs.submatrix(0, k, 0, carried))
+        except RankDeficientError as exc:
+            solved = str(exc)
+        return rref_carry(mat, rhs), right_kernel_qm(mat), solved
+
+    assert eliminate(ctx) == eliminate(plain)
 
 # -- the input parsers ----------------------------------------------------------------
 
