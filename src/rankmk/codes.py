@@ -126,9 +126,12 @@ def parity_check_from_generator(gen: MatQm) -> MatQm:
 
 
 def min_rank_distance_exhaustive(spec: GabidulinSpec | LinearCodeSpec) -> int:
-    """Exact minimum rank distance by enumerating all nonzero codewords."""
+    """Exact minimum rank distance by enumerating all nonzero codewords;
+    a code of dimension 0 has none, which is a ParameterError."""
     gen = resolve_code(spec).gen
     ctx, k, order = gen.ctx, gen.rows, gen.ctx.order
+    if k == 0:
+        raise ParameterError("a code of dimension 0 has no nonzero codeword")
     if order**k > ENUM_LIMIT:
         raise ParameterError(f"enumeration of {order}^{k} codewords exceeds the size guard")
     best = None

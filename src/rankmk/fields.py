@@ -26,7 +26,9 @@ two private row kernels, `_scale_row` (s * row) and `_sub_scaled_row`
 (row - f * prow).  Each picks its arithmetic once per row, not per entry:
 with tables a product is one exp lookup from log f, and the difference is XOR
 for q = 2 and the Zech `sub` for odd q; without tables each entry runs `mul`
-and `sub`.  The results are those of the per-entry operations.
+and `sub`.  Matrix products (`matrix.MatQm.__matmul__`) read the same tables
+once per left entry, with XOR or the Zech `add` for the sum.  The results are
+those of the per-entry operations.
 """
 
 from __future__ import annotations

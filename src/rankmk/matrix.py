@@ -22,6 +22,11 @@ matrix, whose free-column vectors already are the RREF kernel basis.
 `_eliminate` hands each row operation, whole rows at a time, to the field's
 row kernels `ExtField._scale_row` and `ExtField._sub_scaled_row`, which pick
 the arithmetic (table lookups or per-entry operations) once per row.
+`__matmul__` picks it once per left entry: on a tabled field it looks up
+log a, and each nonzero term is exp[log a + log b], XORed into its
+accumulator for q = 2 and summed with the Zech `add` for odd q; without
+tables each term runs `mul` and `add`.  Fields are compared by identity
+before equality, so the usual shared field costs no `ExtField.__eq__`.
 
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
@@ -97,7 +102,7 @@ class MatQm:
         return type(self)._wrap(self.ctx, [r[c0:c1] for r in self.data[r0:r1]], c1 - c0)
 
     def _conformable(self, other: "MatQm", rows: bool = False, cols: bool = False) -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise FormatError("matrices live over different fields")
         if rows and self.rows != other.rows:
             raise FormatError(f"row mismatch: {self.rows} vs {other.rows}")
@@ -107,11 +112,13 @@ class MatQm:
     # -- arithmetic ---------------------------------------------------------------
 
     def __matmul__(self, other: "MatQm") -> "MatQm":
-        if self.ctx != other.ctx:
+        ctx = self.ctx
+        if ctx is not other.ctx and ctx != other.ctx:
             raise FormatError("matrices live over different fields")
         if self.cols != other.rows:
             raise FormatError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ctx = self.ctx
+        log, exp = ctx._log, ctx._exp
+        xor = ctx.q == 2
         mul, add = ctx.mul, ctx.add
         out = []
         ocols = other.cols
@@ -121,14 +128,20 @@ class MatQm:
             for a, brow in zip(arow, odata):
                 if a == 0:
                     continue
-                if a == 1:
+                if log is None:
                     for j, b in enumerate(brow):
                         if b:
-                            acc[j] = add(acc[j], b)
+                            acc[j] = add(acc[j], b if a == 1 else mul(a, b))
+                    continue
+                la = log[a]
+                if xor:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] ^= exp[la + log[b]]
                 else:
                     for j, b in enumerate(brow):
                         if b:
-                            acc[j] = add(acc[j], mul(a, b))
+                            acc[j] = add(acc[j], exp[la + log[b]])
             out.append(acc)
         return _result_type(self, other)._wrap(ctx, out, ocols)
 

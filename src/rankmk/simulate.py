@@ -14,7 +14,9 @@ Reproducibility contract (language-independent):
   of execution order and may run concurrently.
 * Matrices are drawn entry by entry in row-major order; rank-conditioned
   sampling redraws the entire matrix until the condition holds; errors draw
-  the support basis B first, then the coefficient matrix A.
+  the support basis B first, then the coefficient matrix A.  (`rand_matrix`
+  takes a matrix's entries from one `below_many` loop, which draws the same
+  words, with the same rejections, as successive `below` calls.)
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ def mix64(z: int) -> int:
     return z
 
 
+def _rejection_limit(n: int) -> int:
+    """The words below(n) accepts are those under 2^64 - (2^64 mod n)."""
+    if not 0 < n <= 1 << 64:
+        raise ParameterError("below() needs a bound in [1, 2^64]")
+    return _MASK64 + 1 - ((_MASK64 + 1) % n)
+
+
 class SplitMix64:
     """Counter-based 64-bit generator; see the module docstring for the contract."""
 
@@ -61,13 +70,27 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection from 64-bit words."""
-        if not 0 < n <= 1 << 64:
-            raise ParameterError("below() needs a bound in [1, 2^64]")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        limit = _rejection_limit(n)
         while True:
             w = self.next_u64()
             if w < limit:
                 return w % n
+
+    def below_many(self, n: int, count: int) -> list[int]:
+        """[self.below(n) for _ in range(count)] in one loop: the same words,
+        the same rejections and the same final state."""
+        limit = _rejection_limit(n)
+        s = self._s
+        out: list[int] = []
+        append = out.append
+        while count > 0:
+            s = (s + _GAMMA) & _MASK64
+            w = mix64(s)
+            if w < limit:
+                append(w % n)
+                count -= 1
+        self._s = s
+        return out
 
 
 def trial_rng(master_seed: int, index: int) -> SplitMix64:
@@ -79,9 +102,12 @@ def trial_rng(master_seed: int, index: int) -> SplitMix64:
 
 
 def rand_matrix(rng: SplitMix64, ctx: ExtField, rows: int, cols: int, subfield: bool = False):
+    if rows < 0 or cols < 0:
+        raise ParameterError(f"matrix shape {rows}x{cols} has a negative side")
     bound = ctx.q if subfield else ctx.order
     cls = MatQ if subfield else MatQm
-    return cls._wrap(ctx, [[rng.below(bound) for _ in range(cols)] for _ in range(rows)], cols)
+    flat = rng.below_many(bound, rows * cols)
+    return cls._wrap(ctx, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols)
 
 
 def sample_full_rank(

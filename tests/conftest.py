@@ -9,6 +9,19 @@ from rankmk.fields import ExtField
 from rankmk.matrix import MatQ, MatQm, rank_q, rref
 from rankmk.simulate import rand_matrix, sample_error, trial_rng
 
+# One field per arithmetic regime: tabled q = 2 (F_16, F_256), tabled with
+# Zech tables (F_81, F_25, and F_7 with m = 1), and untabled: irreducible
+# moduli whose alpha is not primitive.  (q, m, modulus) by test id.
+REGIME_FIELDS = {
+    "F16": (2, 4, None),
+    "F256": (2, 8, None),
+    "F81": (3, 4, None),
+    "F25": (5, 2, None),
+    "F7": (7, 1, None),
+    "F9-untabled": (3, 2, (1, 0, 1)),
+    "F16-untabled": (2, 4, (1, 1, 1, 1, 1)),
+}
+
 
 def gab_code(q: int, m: int, n: int, k: int) -> LinearCodeSpec:
     """Gabidulin code with locators 1, alpha, ..., alpha^(n-1), resolved."""

@@ -140,6 +140,9 @@ def test_min_distance_degenerate_codes():
     assert min_rank_distance_exhaustive(rep) == 1
     full = GabidulinSpec(ctx, (1, ctx.alpha, ctx.alpha_pow(2)), 3)  # k = n
     assert min_rank_distance_exhaustive(full) == 1
+    zero_dim = LinearCodeSpec(MatQm.identity(ExtField(2, 4), 3))  # [3,0]: only the zero word
+    with pytest.raises(ParameterError, match="no nonzero codeword"):
+        min_rank_distance_exhaustive(zero_dim)
 
 
 def test_min_distance_guard():

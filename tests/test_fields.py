@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import REGIME_FIELDS
 from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import DEFAULT_MODULI, TABLE_LIMIT, ExtField
 from rankmk.matrix import MatQm, ext_expand
@@ -118,20 +119,7 @@ def test_digit_loop_add_sub_neg_match_digits():
     _check_add_sub_neg(ctx)
 
 
-# Tabled q = 2 (F_16, F_256), tabled with Zech tables (F_81, F_25, and F_7
-# with m = 1), and untabled: irreducible moduli whose alpha is not primitive.
-ROW_KERNEL_FIELDS = {
-    "F16": (2, 4, None),
-    "F256": (2, 8, None),
-    "F81": (3, 4, None),
-    "F25": (5, 2, None),
-    "F7": (7, 1, None),
-    "F9-untabled": (3, 2, (1, 0, 1)),
-    "F16-untabled": (2, 4, (1, 1, 1, 1, 1)),
-}
-
-
-@pytest.mark.parametrize("q,m,modulus", ROW_KERNEL_FIELDS.values(), ids=ROW_KERNEL_FIELDS)
+@pytest.mark.parametrize("q,m,modulus", REGIME_FIELDS.values(), ids=REGIME_FIELDS)
 def test_row_kernels_match_per_entry_arithmetic(q, m, modulus):
     ctx = ExtField(q, m, modulus)
     assert (ctx._log is None) == (modulus is not None)

@@ -1,10 +1,12 @@
 """Exact linear algebra: golden fixtures plus randomized re-check oracles."""
 
 import copy
+import itertools
+import random
 
 import pytest
 
-from conftest import is_rref
+from conftest import REGIME_FIELDS, is_rref
 from rankmk.errors import FormatError, RankDeficientError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
@@ -55,8 +57,10 @@ def worked(f32):
     }
 
 
-def naive_matmul(ctx, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+def naive_matmul(ctx, a, b, cols=None):
+    """Reference product: every term through the field's `mul` and `add`."""
+    rows, inner = len(a), len(b)
+    cols = len(b[0]) if cols is None else cols
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):
@@ -95,6 +99,32 @@ def test_matmul_dimension_mismatch(f8):
         MatQm.zeros(f8, 1, 2).add(MatQm.zeros(ExtField(2, 4), 1, 2))
     with pytest.raises(FormatError, match="row mismatch"):
         rref_carry(MatQm.zeros(f8, 2, 2), MatQm.zeros(f8, 3, 1))
+
+
+@pytest.mark.parametrize("q,m,modulus", REGIME_FIELDS.values(), ids=REGIME_FIELDS)
+def test_products_match_per_entry_arithmetic(q, m, modulus):
+    ctx, twin = ExtField(q, m, modulus), ExtField(q, m, modulus)
+    assert ctx == twin and ctx is not twin  # equal fields are accepted, not only the same one
+    rng = random.Random(ctx.order)
+    top = ctx.order - 1
+    pools = {
+        MatQm: [0, 1, top, *rng.sample(range(2, top), min(top - 2, 8))],
+        MatQ: list(range(q)),
+    }
+
+    def operand(field, cls, rows, cols):
+        return cls(field, [rng.choices(pools[cls], k=cols) for _ in range(rows)], cols)
+
+    # zero inner dimension, zero rows, zero columns, and a 1 x 1 product
+    shapes = [(3, 4, 5), (2, 3, 2), (1, 1, 1), (2, 0, 3), (0, 3, 2), (3, 2, 0)]
+    for rows, inner, cols in shapes:
+        for left, right in itertools.product((MatQm, MatQ), repeat=2):
+            a, b = operand(ctx, left, rows, inner), operand(twin, right, inner, cols)
+            got = a @ b
+            assert type(got) is (MatQ if left is right is MatQ else MatQm)
+            assert (got.ctx, got.rows, got.cols) == (ctx, rows, cols)
+            assert got.data == naive_matmul(ctx, a.data, b.data, cols), (a.data, b.data)
+            assert got.add(MatQm.zeros(twin, rows, cols)) == got
 
 
 def test_ext_expand_worked_example(worked):

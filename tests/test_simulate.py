@@ -20,6 +20,7 @@ from rankmk.simulate import (
     count_matrices_rank,
     lo_condition_check,
     mix64,
+    rand_matrix,
     run_trials,
     sample_error,
     sample_full_rank,
@@ -62,6 +63,62 @@ def test_trial_rng_contract():
     expected = SplitMix64(mix64((master + i * 0x9E3779B97F4A7C15) % 2**64))
     got = trial_rng(master, i)
     assert [got.next_u64() for _ in range(4)] == [expected.next_u64() for _ in range(4)]
+
+
+_GAMMA_INVERSE = pow(0x9E3779B97F4A7C15, -1, 2**64)
+
+
+def _words_drawn(before: int, after: int) -> int:
+    """How many 64-bit words a SplitMix64 drew to go from state before to after."""
+    return (after - before) * _GAMMA_INVERSE % 2**64
+
+
+@pytest.mark.parametrize("bound", [2, 3, 16, 81, 3 * 2**62])
+def test_below_many_is_successive_below(bound):
+    batched, single = SplitMix64(bound), SplitMix64(bound)
+    start = batched._s
+    assert batched.below_many(bound, 400) == [single.below(bound) for _ in range(400)]
+    assert batched._s == single._s
+    # 3 * 2^62 rejects every word at or above it, about one in four
+    rejected = _words_drawn(start, batched._s) - 400
+    assert rejected > 50 if bound == 3 * 2**62 else rejected == 0
+    assert batched.below_many(bound, 0) == [] and batched._s == single._s
+    with pytest.raises(ParameterError):
+        batched.below_many(0, 1)
+
+
+# An entry bound of 2, 3, 16 and 81: the subfields and the fields F_16, F_81.
+DRAW_BOUNDS = {2: ((2, 4), True), 3: ((3, 4), True), 16: ((2, 4), False), 81: ((3, 4), False)}
+
+
+@pytest.mark.parametrize("bound", DRAW_BOUNDS)
+def test_rand_matrix_draws_in_row_major_order(bound):
+    (q, m), subfield = DRAW_BOUNDS[bound]
+    ctx = ExtField(q, m)
+    drawn, single = SplitMix64(bound), SplitMix64(bound)
+    for rows, cols in ((3, 4), (1, 7), (3, 0), (0, 5), (4, 1)):
+        before = drawn._s
+        mat = rand_matrix(drawn, ctx, rows, cols, subfield=subfield)
+        assert type(mat) is (MatQ if subfield else MatQm)
+        assert (mat.rows, mat.cols) == (rows, cols)
+        assert mat.data == [[single.below(bound) for _ in range(cols)] for _ in range(rows)]
+        assert drawn._s == single._s
+        assert _words_drawn(before, drawn._s) >= rows * cols
+        if rows * cols == 0:
+            assert drawn._s == before
+    for rows, cols in ((-1, -1), (2, -1), (-1, 3)):
+        with pytest.raises(ParameterError, match="negative side"):
+            rand_matrix(drawn, ctx, rows, cols)
+
+
+def test_run_trials_on_a_dimension_zero_code():
+    # [3,0] over F_16: each trial's message is ell x 0 and draws no word
+    code = LinearCodeSpec(MatQm.identity(ExtField(2, 4), 3))
+    uniform = run_trials(SimConfig(code, 3, 2, 200, 11, "uniform")).tallies()
+    fullrank = run_trials(SimConfig(code, 3, 2, 200, 11, "fullrank")).tallies()
+    assert (uniform["successes"], uniform["support_failures"]) == (199, 1)
+    assert (fullrank["successes"], fullrank["support_failures"]) == (200, 0)
+    assert sum(uniform.values()) == sum(fullrank.values()) == 200
 
 
 def test_sample_full_rank_trivials():
