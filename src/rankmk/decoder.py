@@ -29,9 +29,10 @@ from .errors import ParameterError, RankDeficientError
 from .matrix import (
     MatQ,
     MatQm,
+    _back_carry,
+    _forward_carry,
     rank_q,
     rank_qm,
-    rref_carry,
     right_kernel_q,
     solve_right,
 )
@@ -84,11 +85,16 @@ def syndrome(h: MatQm, received: MatQm) -> MatQm:
 def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
     """Echelonize the syndrome, carrying the row operations onto H, and
     return (t_hat, trailing rows of P @ H, P @ S, P @ H): t_hat is the rank
-    of S, and the trailing rows are the ones aligned with its zero rows."""
-    reduced, carried, pivots = rref_carry(synd, h)
+    of S, and the trailing rows are the ones aligned with its zero rows.
+
+    This is `rref_carry(synd, h)` split at its two passes.  The forward pass
+    decides t_hat, so TOO_MANY_ERRORS (t_hat >= n - k) is raised before the
+    back pass runs; only a syndrome that leaves a zero row is reduced."""
+    work, pivots = _forward_carry(synd, h)
     t_hat = len(pivots)
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
+    reduced, carried, _ = _back_carry(synd, h, work, pivots)
     return t_hat, carried.submatrix(t_hat, h.rows, 0, h.cols), reduced, carried
 
 
@@ -149,7 +155,8 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
         a_hat = erasure_decode(carried.submatrix(0, t_hat, 0, h.cols), r_top, basis)
     except DecodeFailure as failure:
         # Recomputed even where compute_hsub found t_hat: rankbench times this
-        # rank_qm as the failure path's own stage (rankbench/NOTES.md).
+        # rank_qm, a forward pass, as the failure path's own stage
+        # (rankbench/NOTES.md).
         t_hat = rank_qm(synd)
         return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2, str(failure))
     beyond = d is not None and t_hat > d - 2

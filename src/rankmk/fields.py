@@ -21,7 +21,9 @@ fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
 addition, subtraction and negation are table lookups too; for q = 2 addition
 is XOR, and fields without tables add digit by digit.
 
-Gaussian elimination (`matrix._eliminate`) does its row operations through
+Gaussian elimination, the forward pass (`matrix._forward_pass`, which
+normalizes each pivot and clears below it) and the back pass
+(`matrix._back_pass`, which clears above), does its row operations through
 two private row kernels, `_scale_row` (s * row) and `_sub_scaled_row`
 (row - f * prow).  Each picks its arithmetic once per row, not per entry:
 with tables a product is one exp lookup from log f, and the difference is XOR

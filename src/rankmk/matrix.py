@@ -11,17 +11,32 @@ its operands are.
 the carried columns get the same row operations: the transform P is I
 carried, and a solve carries its right-hand side.
 
+Generic elimination runs in two passes.  The forward pass, `_forward_pass`,
+takes the leftmost column with a nonzero entry at or below the next pivot
+row, the topmost such row as pivot, normalizes it to 1 and clears below it:
+that is row echelon form, and its pivot count is the rank.  The back pass,
+`_back_pass`, clears above each pivot, from the last one up, which gives the
+RREF; one pivot needs no back pass.  RREF is unique, and the rows past the
+rank only ever receive the forward pass's operations, so the reduced and
+carried blocks are those of one-loop Gauss-Jordan.  Callers stop as early as
+their answer allows: `rank_qm` and the odd-q `rank_q` run the forward pass
+alone, `solve_right` raises on a singular system before the back pass, and
+`decoder.compute_hsub` splits `rref_carry` at `_forward_carry` and
+`_back_carry` to raise TOO_MANY_ERRORS before it.  `rref`, `rref_carry`
+and `right_kernel_qm` run both passes.
+
 `rank_q` and `right_kernel_q` take any matrix and read its F_q view
 themselves: a `MatQ` is its own, an F_{q^m} matrix has `ext_expand`.  For
 q = 2 both reduce the columns of that view as int bit masks in one F_2
 core, `_gf2_rref`, and build no expansion: the code of an F_{2^m} entry
 already holds its m coordinate bits, so column j of `ext_expand(M)` is the
-integer sum(M[i][j] << m*i).  Every `rref` (and so odd q throughout) runs
-the generic `_eliminate`; `right_kernel_qm` runs one, on the column-reversed
-matrix, whose free-column vectors already are the RREF kernel basis.
-`_eliminate` hands each row operation, whole rows at a time, to the field's
-row kernels `ExtField._scale_row` and `ExtField._sub_scaled_row`, which pick
-the arithmetic (table lookups or per-entry operations) once per row.
+integer sum(M[i][j] << m*i).  For odd q, `rank_q` runs the forward pass on
+the shorter side of the view (rank(M) = rank(M^T)).  `right_kernel_qm`
+reduces the column-reversed matrix once, whose free-column vectors already
+are the RREF kernel basis.  Both passes hand each row operation, whole rows
+at a time, to the field's row kernels `ExtField._scale_row` and
+`ExtField._sub_scaled_row`, which pick the arithmetic (table lookups or
+per-entry operations) once per row.
 `__matmul__` picks it once per left entry: on a tabled field it looks up
 log a, and each nonzero term is exp[log a + log b], XORed into its
 accumulator for q = 2 and summed with the Zech `add` for odd q; without
@@ -99,7 +114,10 @@ class MatQm:
         """Rows r0:r1 and columns c0:c1 (half-open, like slices)."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise FormatError("submatrix range out of bounds")
-        return type(self)._wrap(self.ctx, [r[c0:c1] for r in self.data[r0:r1]], c1 - c0)
+        rows = self.data[r0:r1]
+        if c0 or c1 != self.cols:
+            rows = [r[c0:c1] for r in rows]
+        return type(self)._wrap(self.ctx, rows, c1 - c0)
 
     def _conformable(self, other: "MatQm", rows: bool = False, cols: bool = False) -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -164,7 +182,7 @@ class MatQm:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MatQm)
-            and self.ctx == other.ctx
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.data == other.data
@@ -292,20 +310,37 @@ def _gf2_columns(mat: MatQm) -> tuple[list[int], int]:
 
 
 def rref(mat: MatQm) -> tuple[MatQm, list[int]]:
-    """Reduced row echelon form and its pivot columns."""
+    """Reduced row echelon form and its pivot columns: both passes."""
     ctx = mat.ctx
     out = list(mat.data)
-    pivots = _eliminate(ctx, out, mat.cols)
+    pivots = _forward_pass(ctx, out, mat.cols)
+    if len(pivots) > 1:
+        _back_pass(ctx, out, pivots)
     return type(mat)._wrap(ctx, out, mat.cols), pivots
 
 
 def rref_carry(mat: MatQm, other: MatQm) -> tuple[MatQm, MatQm, list[int]]:
     """(rref(mat), P @ other, pivots), where P @ mat = rref(mat): the RREF
     of [mat | other] with pivots chosen only in mat's columns."""
+    work, pivots = _forward_carry(mat, other)
+    return _back_carry(mat, other, work, pivots)
+
+
+def _forward_carry(mat: MatQm, other: MatQm) -> tuple[list[list[int]], list[int]]:
+    """The forward pass over the rows of [mat | other], pivots only in mat's
+    columns: the echelon rows and the pivots, whose count is rank(mat)."""
     mat._conformable(other, rows=True)
-    ctx, b = mat.ctx, mat.cols
     work = [x + y for x, y in zip(mat.data, other.data)]
-    pivots = _eliminate(ctx, work, b)
+    return work, _forward_pass(mat.ctx, work, mat.cols)
+
+
+def _back_carry(
+    mat: MatQm, other: MatQm, work: list[list[int]], pivots: list[int]
+) -> tuple[MatQm, MatQm, list[int]]:
+    """The back pass on `_forward_carry`'s rows, split as `rref_carry` returns them."""
+    ctx, b = mat.ctx, mat.cols
+    if len(pivots) > 1:
+        _back_pass(ctx, work, pivots)
     reduced = type(mat)._wrap(ctx, [r[:b] for r in work], b)
     return reduced, _result_type(mat, other)._wrap(ctx, [r[b:] for r in work], other.cols), pivots
 
@@ -316,12 +351,12 @@ def rref_with_transform(mat: MatQm) -> tuple[MatQm, MatQm]:
     return trans, reduced
 
 
-def _eliminate(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
-    """RREF in place on the row lists `work`; scans the first `cols` columns
-    left to right, picks the topmost nonzero pivot, normalizes it to 1 and
-    clears the column above and below.  Row operations act on whole rows, so
-    columns past `cols` are carried; the field's row kernels compute them.
-    Rows are replaced, never mutated."""
+def _forward_pass(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
+    """Row echelon form in place on the row lists `work`: scans the first
+    `cols` columns left to right, picks the topmost nonzero pivot, normalizes
+    it to 1 and clears the column below it.  Returns the pivot columns.  Row
+    operations act on whole rows, so columns past `cols` are carried; the
+    field's row kernels compute them.  Rows are replaced, never mutated."""
     scale, sub_scaled = ctx._scale_row, ctx._sub_scaled_row
     nrows = len(work)
     pivots = []
@@ -336,9 +371,9 @@ def _eliminate(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
         prow = work[pr]
         if prow[c] != 1:
             prow = work[pr] = scale(ctx.inv(prow[c]), prow)
-        for i in range(nrows):
+        for i in range(pr + 1, nrows):
             f = work[i][c]
-            if f and i != pr:
+            if f:
                 work[i] = sub_scaled(work[i], f, prow)
         pivots.append(c)
         pr += 1
@@ -347,19 +382,38 @@ def _eliminate(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
+def _back_pass(ctx: ExtField, work: list[list[int]], pivots: list[int]) -> None:
+    """Reduce `_forward_pass`'s echelon rows in place: from the last pivot up,
+    clear each pivot's column above it.  Only pivot rows change, each by
+    later pivot rows, so rows past the rank keep the forward pass's values.
+    The first pivot has nothing above it, so callers skip a single pivot."""
+    sub_scaled = ctx._sub_scaled_row
+    for r in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[r], work[r]
+        for i in range(r):
+            f = work[i][c]
+            if f:
+                work[i] = sub_scaled(work[i], f, prow)
+
+
 # -- ranks ------------------------------------------------------------------------------
 
 
 def rank_qm(mat: MatQm) -> int:
-    """Rank over the extension field F_{q^m}."""
-    return len(rref(mat)[1])
+    """Rank over the extension field F_{q^m}: the forward pass alone."""
+    return len(_forward_pass(mat.ctx, list(mat.data), mat.cols))
 
 
 def rank_q(mat: MatQm) -> int:
     """Rank of the coordinate expansion over the base field F_q."""
     if mat.ctx.q == 2:
         return len(_gf2_rref(_gf2_columns(mat)[0]))
-    return len(rref(mat if isinstance(mat, MatQ) else ext_expand(mat))[1])
+    view = mat if isinstance(mat, MatQ) else ext_expand(mat)
+    work, cols = list(view.data), view.cols
+    if len(work) > cols:
+        # rank(M) = rank(M^T): eliminate along the shorter side.
+        work, cols = list(zip(*work)), len(work)
+    return len(_forward_pass(view.ctx, work, cols))
 
 
 # -- kernels and complements ----------------------------------------------------------------
@@ -407,11 +461,15 @@ def right_kernel_q(mat: MatQm) -> MatQ:
 def solve_right(coeff: MatQm, rhs: MatQm) -> MatQm:
     """Unique X with coeff @ X^T = rhs, for a square coeff of full rank:
     FormatError if coeff is not square, RankDeficientError if it is singular.
-    The paper's tall erasure system reduces to it (`decoder.erasure_decode`)."""
+    The paper's tall erasure system reduces to it (`decoder.erasure_decode`).
+    The forward pass over [coeff | rhs] decides singularity, so only a
+    full-rank system runs the back pass, and only its carried block is kept."""
     b = coeff.cols
     if coeff.rows != b:
         raise FormatError(f"coefficient matrix is {coeff.rows}x{b}, not square")
-    _, carried, pivots = rref_carry(coeff, rhs)
+    work, pivots = _forward_carry(coeff, rhs)
     if len(pivots) < b:
         raise RankDeficientError(f"coefficient matrix has column rank {len(pivots)} < {b}")
-    return MatQm._wrap(coeff.ctx, carried.data, rhs.cols).transpose()
+    if b > 1:
+        _back_pass(coeff.ctx, work, pivots)
+    return MatQm._wrap(coeff.ctx, [r[b:] for r in work], rhs.cols).transpose()

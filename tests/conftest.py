@@ -23,6 +23,27 @@ REGIME_FIELDS = {
 }
 
 
+def full_rank_vandermonde(ctx: ExtField, n: int) -> MatQm:
+    """The n x n matrix with rows (1, a, a^2, ...) for a = alpha, ..., alpha^n:
+    full rank when those n powers are distinct, and dense, so reducing above
+    its pivots takes row operations that the forward pass alone does not."""
+    return MatQm(ctx, [[ctx.alpha_pow(i * j) for j in range(n)] for i in range(1, n + 1)])
+
+
+def count_row_subtractions(monkeypatch) -> list[int]:
+    """Count `ExtField._sub_scaled_row` calls from here on: the one-item list
+    returned holds the count, and tests may reset it."""
+    calls = [0]
+    inner = ExtField._sub_scaled_row
+
+    def counted(self, row, f, prow):
+        calls[0] += 1
+        return inner(self, row, f, prow)
+
+    monkeypatch.setattr(ExtField, "_sub_scaled_row", counted)
+    return calls
+
+
 def gab_code(q: int, m: int, n: int, k: int) -> LinearCodeSpec:
     """Gabidulin code with locators 1, alpha, ..., alpha^(n-1), resolved."""
     ctx = ExtField(q, m)

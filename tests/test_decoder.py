@@ -5,7 +5,14 @@ import itertools
 
 import pytest
 
-from conftest import all_rref_bases, gab_code, is_rref, planted_word
+from conftest import (
+    all_rref_bases,
+    count_row_subtractions,
+    full_rank_vandermonde,
+    gab_code,
+    is_rref,
+    planted_word,
+)
 from rankmk.codes import GabidulinSpec, LinearCodeSpec, min_rank_distance_exhaustive, resolve_code
 from rankmk.decoder import (
     DecodeFailure,
@@ -28,6 +35,7 @@ from rankmk.matrix import (
     rank_q,
     rank_qm,
     rref,
+    rref_carry,
     right_kernel_qm,
 )
 from rankmk.simulate import SplitMix64, rand_matrix, sample_error, sample_full_rank, trial_rng
@@ -218,6 +226,21 @@ def test_decode_too_many_errors():
     assert not out.success
     assert out.reason is FailureReason.TOO_MANY_ERRORS
     assert out.t_hat == 3 and out.beyond_guarantee
+
+
+def test_too_many_errors_is_raised_before_the_back_pass(monkeypatch):
+    # A full-rank 3 x 3 syndrome leaves no zero row of P @ S when n - k = 3:
+    # the forward pass decides that with at most 3 row subtractions.
+    code = gab_code(2, 4, 4, 1)
+    synd = full_rank_vandermonde(code.ctx, 3)
+    calls = count_row_subtractions(monkeypatch)
+    rref_carry(synd, code.h)
+    assert calls[0] > 3  # the full reduction also clears above the pivots
+    calls[0] = 0
+    with pytest.raises(DecodeFailure) as exc:
+        compute_hsub(code.h, synd)
+    assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
+    assert calls[0] <= 3
 
 
 def test_failure_detail_is_kept():

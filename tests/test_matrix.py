@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import REGIME_FIELDS, is_rref
+from conftest import REGIME_FIELDS, count_row_subtractions, full_rank_vandermonde, is_rref
 from rankmk.errors import FormatError, RankDeficientError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
@@ -209,6 +209,16 @@ def test_ranks_subfield_vs_extension():
     assert rank_qm(col) == 1
     row = MatQm(ctx, [[1, ctx.alpha]])
     assert rank_q(row) == 2
+
+
+def test_rank_qm_runs_the_forward_pass_alone(monkeypatch):
+    mat = full_rank_vandermonde(ExtField(2, 4), 3)
+    calls = count_row_subtractions(monkeypatch)
+    assert rref(mat)[1] == [0, 1, 2]
+    assert calls[0] > 3  # the back pass clears above the pivots
+    calls[0] = 0
+    assert rank_qm(mat) == 3
+    assert calls[0] <= 3
 
 
 def test_rank_inequality_random():

@@ -1,7 +1,8 @@
 """Property tests: the shared decoding pipeline and its success condition,
 the dual-code construction, the carried row reduction, the beyond-d-2
 condition, the F_q rank and kernel on both matrix types, elimination with
-and without field tables, and the input parsers.
+and without field tables, the two elimination passes against one-loop
+Gauss-Jordan, and the input parsers.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gab_code, is_rref
+from conftest import REGIME_FIELDS, gab_code, is_rref
 from rankmk.codes import code_spec_from_text, code_spec_to_text, parity_check_from_generator
 from rankmk.decoder import (
     DecodeFailure,
@@ -285,13 +286,14 @@ def test_beyond_condition_matches_oracle_on_generic_checks(case):
 # -- the F_q view: the packed F_2 core and odd q ------------------------------------------
 
 GF2_FIELDS = [ExtField(2, 1), ExtField(2, 2), ExtField(2, 4), ExtField(2, 10)]
-ODD_FIELDS = [ExtField(3, 2), ExtField(3, 4)]
+ODD_FIELDS = [ExtField(3, 2), ExtField(3, 4), ExtField(5, 2), ExtField(3, 2, (1, 0, 1))]
 
 
 @st.composite
 def view_matrices(draw):
-    """A MatQ or MatQm over F_2, F_4, F_16, F_{2^10}, F_9 or F_81: random,
-    zero, with an identity block (full rank) or with a row that sums two others."""
+    """A MatQ or MatQm over F_2, F_4, F_16, F_{2^10}, F_9, F_81, F_25 or an
+    untabled F_9, tall, wide or square: random, zero, with an identity block
+    (full rank) or with a row that sums two others."""
     ctx = draw(st.sampled_from(GF2_FIELDS + ODD_FIELDS))
     subfield = draw(st.booleans())
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
@@ -312,12 +314,13 @@ def view_matrices(draw):
 @example(MatQm.zeros(ODD_FIELDS[0], 0, 3))
 @example(MatQm.zeros(ODD_FIELDS[1], 0, 0))
 def test_rank_and_kernel_q_match_generic_elimination(mat):
-    # rank_qm and right_kernel_qm run the generic _eliminate on the expansion.
+    # rank_qm and right_kernel_qm run the generic elimination on the expansion.
     # Inside the kernel, n - rank rows and RREF pin the basis down uniquely,
-    # which is what odd q checks; q = 2 also meets the packed core.
+    # which is what odd q checks; q = 2 also meets the packed core.  Odd-q
+    # rank_q eliminates the transpose of a view taller than wide.
     x = ext_expand(mat)
     rank, kernel = rank_qm(x), right_kernel_qm(x)
-    assert rank_q(mat) == rank_q(x) == rank
+    assert rank_q(mat) == rank_q(x) == rank == len(rref(x)[1])
     assert right_kernel_q(mat) == right_kernel_q(x) == kernel
     assert (x @ kernel.transpose()).is_zero()
     assert kernel.rows == mat.cols - rank
@@ -378,6 +381,110 @@ def test_elimination_does_not_depend_on_the_arithmetic_regime(case):
         return rref_carry(mat, rhs), right_kernel_qm(mat), solved
 
     assert eliminate(ctx) == eliminate(plain)
+
+
+# -- the two elimination passes against one-loop Gauss-Jordan --------------------------------
+
+ORACLE_FIELDS = [ExtField(*spec) for spec in REGIME_FIELDS.values()]
+
+
+def _gauss_jordan(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
+    """The one-loop elimination the two passes replaced, kept as the oracle:
+    leftmost column, topmost nonzero row, pivot normalized to 1, and the
+    column cleared above and below it in the same step."""
+    nrows = len(work)
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        for pivot in range(pr, nrows):
+            if work[pivot][c]:
+                break
+        else:
+            continue
+        work[pr], work[pivot] = work[pivot], work[pr]
+        prow = work[pr]
+        if prow[c] != 1:
+            prow = work[pr] = ctx._scale_row(ctx.inv(prow[c]), prow)
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != pr:
+                work[i] = ctx._sub_scaled_row(work[i], f, prow)
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return pivots
+
+
+@st.composite
+def echelon_cases(draw):
+    """(M, C) over a tabled or untabled field, with 0-5 rows and columns and
+    0-4 carried columns: M, a MatQ or a MatQm, is random, square, tall, wide,
+    zero, or has a last row that combines two others."""
+    ctx = draw(st.sampled_from(ORACLE_FIELDS))
+    shape = draw(st.sampled_from(["random", "square", "tall", "wide", "zero", "deficient"]))
+    if shape == "tall":
+        rows = draw(st.integers(1, 5))
+        cols = draw(st.integers(0, rows - 1))
+    elif shape == "wide":
+        cols = draw(st.integers(1, 5))
+        rows = draw(st.integers(0, cols - 1))
+    else:
+        rows = cols = draw(st.integers(0, 5))
+        if shape != "square":
+            cols = draw(st.integers(0, 5))
+    carried = draw(st.integers(0, 4))
+    subfield = draw(st.booleans())
+    element = st.integers(0, (ctx.q if subfield else ctx.order) - 1)
+    data, other = (
+        draw(st.lists(st.lists(el, min_size=c, max_size=c), min_size=rows, max_size=rows))
+        for el, c in ((element, cols), (st.integers(0, ctx.order - 1), carried))
+    )
+    if shape == "zero":
+        data = [[0] * cols for _ in data]
+    elif shape == "deficient" and rows >= 3:
+        a, b = draw(element), draw(element)
+        data[-1] = [ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(data[0], data[1])]
+    return (MatQ if subfield else MatQm)(ctx, data, cols), MatQm(ctx, other, carried)
+
+
+@PROPERTY
+@given(echelon_cases())
+def test_two_passes_match_gauss_jordan(case):
+    mat, other = case
+    ctx, rows, cols = mat.ctx, mat.rows, mat.cols
+    work = [x + y for x, y in zip(mat.data, other.data)]
+    pivots = _gauss_jordan(ctx, work, cols)
+    reduced = MatQm(ctx, [r[:cols] for r in work], cols)
+    carried = MatQm(ctx, [r[cols:] for r in work], other.cols)
+    rank = len(pivots)
+
+    got = rref(mat)
+    assert got == (reduced, pivots) and type(got[0]) is type(mat)
+    assert rref_carry(mat, other) == (reduced, carried, pivots)
+    assert rank_qm(mat) == rank
+
+    if rows != cols:
+        with pytest.raises(FormatError, match=f"^coefficient matrix is {rows}x{cols}, not square$"):
+            solve_right(mat, other)
+    elif rank < cols:
+        with pytest.raises(RankDeficientError, match=f"^coefficient matrix has column rank {rank} < {cols}$"):
+            solve_right(mat, other)
+    else:
+        assert solve_right(mat, other) == carried.transpose()
+
+    if rank >= rows:
+        with pytest.raises(DecodeFailure, match=f"^syndrome rank {rank} leaves no zero rows$") as exc:
+            compute_hsub(other, mat)
+        assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
+    else:
+        assert compute_hsub(other, mat) == (
+            rank,
+            carried.submatrix(rank, rows, 0, other.cols),
+            reduced,
+            carried,
+        )
+
 
 # -- the input parsers ----------------------------------------------------------------
 
