@@ -29,8 +29,9 @@ from .errors import ParameterError, RankDeficientError
 from .matrix import (
     MatQ,
     MatQm,
-    _back_carry,
+    _back_pass,
     _forward_carry,
+    _result_type,
     rank_q,
     rank_qm,
     right_kernel_q,
@@ -83,19 +84,23 @@ def syndrome(h: MatQm, received: MatQm) -> MatQm:
 
 
 def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
-    """Echelonize the syndrome, carrying the row operations onto H, and
-    return (t_hat, trailing rows of P @ H, P @ S, P @ H): t_hat is the rank
-    of S, and the trailing rows are the ones aligned with its zero rows.
+    """Echelonize the syndrome S, carrying the row operations P onto H, and
+    return (t_hat, H_sub, R_top, T): t_hat is the rank of S, P @ S is
+    [R_top; 0] and P @ H is [T; H_sub], with t_hat rows in R_top and T.
 
-    This is `rref_carry(synd, h)` split at its two passes.  The forward pass
-    decides t_hat, so TOO_MANY_ERRORS (t_hat >= n - k) is raised before the
-    back pass runs; only a syndrome that leaves a zero row is reduced."""
+    This is `rref_carry(synd, h)` with each block sliced once from the
+    reduced rows.  The forward pass decides t_hat, so TOO_MANY_ERRORS
+    (t_hat >= n - k) is raised before the back pass runs; only a syndrome
+    that leaves a zero row is reduced."""
     work, pivots = _forward_carry(synd, h)
     t_hat = len(pivots)
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
-    reduced, carried, _ = _back_carry(synd, h, work, pivots)
-    return t_hat, carried.submatrix(t_hat, h.rows, 0, h.cols), reduced, carried
+    ctx, s, carried = h.ctx, synd.cols, _result_type(synd, h)
+    if t_hat > 1:
+        _back_pass(ctx, work, pivots)
+    h_sub, top = (carried._wrap(ctx, [r[s:] for r in rows], h.cols) for rows in (work[t_hat:], work[:t_hat]))
+    return t_hat, h_sub, type(synd)._wrap(ctx, [r[:s] for r in work[:t_hat]], s), top
 
 
 def recover_support(h_sub: MatQm, t_hat: int) -> MatQ:
@@ -149,10 +154,9 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
         )
     synd = syndrome(h, received)
     try:
-        t_hat, h_sub, reduced, carried = compute_hsub(h, synd)
+        t_hat, h_sub, r_top, top = compute_hsub(h, synd)
         basis = recover(h_sub, t_hat)
-        r_top = reduced.submatrix(0, t_hat, 0, synd.cols)
-        a_hat = erasure_decode(carried.submatrix(0, t_hat, 0, h.cols), r_top, basis)
+        a_hat = erasure_decode(top, r_top, basis)
     except DecodeFailure as failure:
         # Recomputed even where compute_hsub found t_hat: rankbench times this
         # rank_qm, a forward pass, as the failure path's own stage

@@ -18,19 +18,18 @@ primitivity by powering alpha.
 For a primitive polynomial the walk's discrete-log tables are kept, so
 multiplication, inversion and powering become table lookups.  For odd q those
 fields also get a Zech-logarithm table, zech[k] = log(1 + alpha^k), so
-addition, subtraction and negation are table lookups too; for q = 2 addition
-is XOR, and fields without tables add digit by digit.
+addition and negation are table lookups too, and subtraction is a + (-b);
+for q = 2 addition is XOR, and fields without tables add digit by digit.
 
-Gaussian elimination, the forward pass (`matrix._forward_pass`, which
-normalizes each pivot and clears below it) and the back pass
-(`matrix._back_pass`, which clears above), does its row operations through
-two private row kernels, `_scale_row` (s * row) and `_sub_scaled_row`
-(row - f * prow).  Each picks its arithmetic once per row, not per entry:
-with tables a product is one exp lookup from log f, and the difference is XOR
-for q = 2 and the Zech `sub` for odd q; without tables each entry runs `mul`
-and `sub`.  Matrix products (`matrix.MatQm.__matmul__`) read the same tables
-once per left entry, with XOR or the Zech `add` for the sum.  The results are
-those of the per-entry operations.
+No other module reads the tables.  Matrix code reaches them through three
+private row kernels, each picking its arithmetic once per row, not per
+entry: `_scale_row` (s * row) and `_sub_scaled_row` (row - f * prow) do the
+row operations of Gaussian elimination (`matrix._forward_pass` and
+`matrix._back_pass`), and `_mul_rows` the products of `MatQm.__matmul__`.
+With tables a product is one exp lookup, and a sum is XOR for q = 2 and the
+Zech `add` for odd q (row - f * prow as row + (-f) * prow); without tables
+each entry runs `mul`, `add` and `sub`.  The results are those of the
+per-entry operations.
 """
 
 from __future__ import annotations
@@ -380,17 +379,7 @@ class ExtField:
     def sub(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        zech = self._zech
-        if zech is None:
-            return self.add(a, self.neg(b))
-        if b == 0:
-            return a
-        lb = self._log[b] + self._half  # log of -b, taken mod n below
-        if a == 0:
-            return self._exp[lb]
-        la = self._log[a]
-        z = zech[(lb - la) % len(zech)]
-        return self._exp[la + z] if z >= 0 else 0
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -430,8 +419,8 @@ class ExtField:
 
     def _sub_scaled_row(self, row: Sequence[int], f: int, prow: Sequence[int]) -> list[int]:
         """[a - f * b for a, b in zip(row, prow)], choosing the arithmetic
-        once per row: with tables each product is one exp lookup, and for
-        q = 2 the difference is XOR."""
+        once per row: with tables each product is one exp lookup, and the
+        difference is XOR for q = 2 and a + (-f) * b by the Zech `add`."""
         log = self._log
         if log is None or f == 0:
             mul, sub = self.mul, self.sub
@@ -439,8 +428,37 @@ class ExtField:
         exp, lf = self._exp, log[f]
         if self.q == 2:
             return [a ^ exp[lf + log[b]] if b else a for a, b in zip(row, prow)]
-        sub = self.sub
-        return [sub(a, exp[lf + log[b]]) if b else a for a, b in zip(row, prow)]
+        add, lf = self.add, (lf + self._half) % (self.order - 1)  # log(-f)
+        return [add(a, exp[lf + log[b]]) if b else a for a, b in zip(row, prow)]
+
+    def _mul_rows(self, arows: Sequence[list[int]], brows: Sequence[list[int]], cols: int) -> list[list[int]]:
+        """The rows of arows @ brows, `cols` wide, choosing the arithmetic once
+        per left entry a: with tables each term is exp[log a + log b]."""
+        log, exp = self._log, self._exp
+        xor = self.q == 2
+        mul, add = self.mul, self.add
+        out = []
+        for arow in arows:
+            acc = [0] * cols
+            for a, brow in zip(arow, brows):
+                if a == 0:
+                    continue
+                if log is None:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] = add(acc[j], b if a == 1 else mul(a, b))
+                    continue
+                la = log[a]
+                if xor:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] ^= exp[la + log[b]]
+                else:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] = add(acc[j], exp[la + log[b]])
+            out.append(acc)
+        return out
 
     def frobenius(self, a: int, i: int) -> int:
         """The q^i-power map a -> a^(q^i); identity for i = 0 or i = m."""

@@ -21,9 +21,10 @@ rank only ever receive the forward pass's operations, so the reduced and
 carried blocks are those of one-loop Gauss-Jordan.  Callers stop as early as
 their answer allows: `rank_qm` and the odd-q `rank_q` run the forward pass
 alone, `solve_right` raises on a singular system before the back pass, and
-`decoder.compute_hsub` splits `rref_carry` at `_forward_carry` and
-`_back_carry` to raise TOO_MANY_ERRORS before it.  `rref`, `rref_carry`
-and `right_kernel_qm` run both passes.
+`decoder.compute_hsub` raises TOO_MANY_ERRORS after `_forward_carry` and
+runs `_back_pass` itself.  `rref`, `rref_carry` and `right_kernel_qm` run
+both passes; `rref_carry` is the public, tested form of the carried
+elimination.
 
 `rank_q` and `right_kernel_q` take any matrix and read its F_q view
 themselves: a `MatQ` is its own, an F_{q^m} matrix has `ext_expand`.  For
@@ -36,12 +37,10 @@ reduces the column-reversed matrix once, whose free-column vectors already
 are the RREF kernel basis.  Both passes hand each row operation, whole rows
 at a time, to the field's row kernels `ExtField._scale_row` and
 `ExtField._sub_scaled_row`, which pick the arithmetic (table lookups or
-per-entry operations) once per row.
-`__matmul__` picks it once per left entry: on a tabled field it looks up
-log a, and each nonzero term is exp[log a + log b], XORed into its
-accumulator for q = 2 and summed with the Zech `add` for odd q; without
-tables each term runs `mul` and `add`.  Fields are compared by identity
-before equality, so the usual shared field costs no `ExtField.__eq__`.
+per-entry operations) once per row.  `__matmul__` checks its operands and
+hands the rows to a third kernel, `ExtField._mul_rows`, so only the field
+reads its own tables.  Fields are compared by identity before equality, so
+the usual shared field costs no `ExtField.__eq__`.
 
 Entries are validated only where data enters: the public `MatQm(...)` and
 `MatQ(...)` constructors (which also copy the caller's rows) and
@@ -135,33 +134,8 @@ class MatQm:
             raise FormatError("matrices live over different fields")
         if self.cols != other.rows:
             raise FormatError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        log, exp = ctx._log, ctx._exp
-        xor = ctx.q == 2
-        mul, add = ctx.mul, ctx.add
-        out = []
-        ocols = other.cols
-        odata = other.data
-        for arow in self.data:
-            acc = [0] * ocols
-            for a, brow in zip(arow, odata):
-                if a == 0:
-                    continue
-                if log is None:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = add(acc[j], b if a == 1 else mul(a, b))
-                    continue
-                la = log[a]
-                if xor:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] ^= exp[la + log[b]]
-                else:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = add(acc[j], exp[la + log[b]])
-            out.append(acc)
-        return _result_type(self, other)._wrap(ctx, out, ocols)
+        out = ctx._mul_rows(self.data, other.data, other.cols)
+        return _result_type(self, other)._wrap(ctx, out, other.cols)
 
     def add(self, other: "MatQm") -> "MatQm":
         return self._entrywise(other, self.ctx.add)
@@ -323,7 +297,11 @@ def rref_carry(mat: MatQm, other: MatQm) -> tuple[MatQm, MatQm, list[int]]:
     """(rref(mat), P @ other, pivots), where P @ mat = rref(mat): the RREF
     of [mat | other] with pivots chosen only in mat's columns."""
     work, pivots = _forward_carry(mat, other)
-    return _back_carry(mat, other, work, pivots)
+    ctx, b = mat.ctx, mat.cols
+    if len(pivots) > 1:
+        _back_pass(ctx, work, pivots)
+    reduced = type(mat)._wrap(ctx, [r[:b] for r in work], b)
+    return reduced, _result_type(mat, other)._wrap(ctx, [r[b:] for r in work], other.cols), pivots
 
 
 def _forward_carry(mat: MatQm, other: MatQm) -> tuple[list[list[int]], list[int]]:
@@ -332,17 +310,6 @@ def _forward_carry(mat: MatQm, other: MatQm) -> tuple[list[list[int]], list[int]
     mat._conformable(other, rows=True)
     work = [x + y for x, y in zip(mat.data, other.data)]
     return work, _forward_pass(mat.ctx, work, mat.cols)
-
-
-def _back_carry(
-    mat: MatQm, other: MatQm, work: list[list[int]], pivots: list[int]
-) -> tuple[MatQm, MatQm, list[int]]:
-    """The back pass on `_forward_carry`'s rows, split as `rref_carry` returns them."""
-    ctx, b = mat.ctx, mat.cols
-    if len(pivots) > 1:
-        _back_pass(ctx, work, pivots)
-    reduced = type(mat)._wrap(ctx, [r[:b] for r in work], b)
-    return reduced, _result_type(mat, other)._wrap(ctx, [r[b:] for r in work], other.cols), pivots
 
 
 def rref_with_transform(mat: MatQm) -> tuple[MatQm, MatQm]:

@@ -371,7 +371,9 @@ def lo_condition_check(g, k: int, err: MatQm) -> bool:
     held where `decode` failed on 17 uniform words of [5,1] over F_{2^5}
     (ell = t = 2), 12 of [6,2] over F_{2^6} (ell = t = 2) and 1 of [5,1]
     (ell = 3, t = 2).  At t = d - 2 both agreed on every uniform and fullrank
-    word of [4,1]/F_{2^4}, [6,2]/F_{2^6} (t = 3) and [5,2]/F_{3^5}."""
+    word of [4,1]/F_{2^4}, [6,2]/F_{2^6} (t = 3) and [5,2]/F_{3^5}.  It is
+    stated on Gabidulin locators g, so not on generic or twisted Gabidulin
+    codes, which `decode` also takes."""
     ctx = err.ctx
     g = list(g)
     n = len(g)

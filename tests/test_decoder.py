@@ -85,9 +85,11 @@ def test_syndrome_equals_error_syndrome():
 
 
 def test_compute_hsub_worked_example(worked):
-    t_hat, h_sub, reduced, carried = compute_hsub(worked["H"], worked["S"])
-    assert t_hat == 2 and h_sub.rows == 1
-    assert reduced == rref(worked["S"])[0] and h_sub == carried.submatrix(2, 3, 0, 5)
+    t_hat, h_sub, r_top, top = compute_hsub(worked["H"], worked["S"])
+    reduced, carried, _ = rref_carry(worked["S"], worked["H"])
+    assert t_hat == 2 and h_sub.rows == 1 and reduced == rref(worked["S"])[0]
+    assert r_top == reduced.submatrix(0, 2, 0, 2) and reduced.submatrix(2, 3, 0, 2).is_zero()
+    assert (h_sub, top) == (carried.submatrix(2, 3, 0, 5), carried.submatrix(0, 2, 0, 5))
     # the echelonizing transform is unique only up to scaling here
     assert rref(h_sub)[0] == rref(worked["H_sub"])[0]
 
@@ -144,8 +146,8 @@ def test_recover_support_planted_exhaustive():
 
 def _square_system(h, synd):
     """The erasure step's leading rows T of P @ H and R_top of P @ S."""
-    t_hat, _, reduced, carried = compute_hsub(h, synd)
-    return carried.submatrix(0, t_hat, 0, h.cols), reduced.submatrix(0, t_hat, 0, synd.cols)
+    _, _, r_top, top = compute_hsub(h, synd)
+    return top, r_top
 
 
 def test_erasure_decode_worked_example(worked):

@@ -1,11 +1,15 @@
 """Field arithmetic: fixtures, independent oracles, and exhaustive properties."""
 
+import ast
 import itertools
 import random
 import time
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
+import rankmk
 from conftest import REGIME_FIELDS
 from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import DEFAULT_MODULI, TABLE_LIMIT, ExtField
@@ -135,6 +139,25 @@ def test_row_kernels_match_per_entry_arithmetic(q, m, modulus):
             for prow in rows:
                 want = [sub(a, mul(s, b)) for a, b in zip(row, prow)]
                 assert ctx._sub_scaled_row(row, s, prow) == want, (row, s, prow)
+    # products: each left row against the rows above, as a 6 x 12 right factor
+    arows = [[0] * 6, [1, top, 0, 1, top, 1]] + [rng.choices(range(ctx.order), k=6) for _ in range(4)]
+    add = ctx.add
+    want = [[reduce(add, (mul(a, b[j]) for a, b in zip(arow, rows)), 0) for j in range(12)] for arow in arows]
+    assert ctx._mul_rows(arows, rows, 12) == want
+
+
+def test_only_fields_reads_the_tables():
+    # The log/exp/Zech tables are the field's own format: every other module
+    # goes through ExtField's operations and row kernels.
+    tables = {"_log", "_exp", "_zech", "_half"}
+    readers = []
+    for path in sorted(Path(rankmk.__file__).parent.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in tables:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_subfield_closure():

@@ -1,20 +1,30 @@
 """Property tests: the shared decoding pipeline and its success condition,
+the high-order regime (ell up to 32t) and what a miscorrection implies,
 the dual-code construction, the carried row reduction, the beyond-d-2
 condition, the F_q rank and kernel on both matrix types, elimination with
 and without field tables, the two elimination passes against one-loop
 Gauss-Jordan, and the input parsers.
 
-Hypothesis runs derandomized, so every run draws the same examples.
+Hypothesis runs derandomized, and the loops draw from fixed SplitMix64
+seeds, so every run checks the same examples.
 """
 
 import copy
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REGIME_FIELDS, gab_code, is_rref
-from rankmk.codes import code_spec_from_text, code_spec_to_text, parity_check_from_generator
+from conftest import REGIME_FIELDS, gab_code, is_rref, planted_word
+from rankmk.codes import (
+    LinearCodeSpec,
+    code_spec_from_text,
+    code_spec_to_text,
+    min_rank_distance_exhaustive,
+    parity_check_from_generator,
+    resolve_code,
+)
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -39,7 +49,7 @@ from rankmk.matrix import (
     right_kernel_qm,
     solve_right,
 )
-from rankmk.simulate import lo_condition_check
+from rankmk.simulate import lo_condition_check, rand_matrix, sample_error, trial_rng
 from test_decoder import _condition_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -168,6 +178,78 @@ def test_decode_success_implies_lo_condition(case):
         assert lo_condition_check(g, code.k, err)
 
 
+# -- the paper's high-order regime, and what a miscorrection looks like --------------------
+
+
+def _generic_code() -> LinearCodeSpec:
+    """A seeded random [5, 2] code over F_{2^5}, not MRD: d = 3 by enumeration."""
+    h = rand_matrix(trial_rng(2110, 0), ExtField(2, 5), 3, 5)
+    return resolve_code(LinearCodeSpec(h, min_rank_distance_exhaustive(LinearCodeSpec(h))))
+
+
+HIGH_ORDER_CODES = {
+    "gab-4-1-F16": gab_code(2, 4, 4, 1),
+    "gab-4-1-F81": gab_code(3, 4, 4, 1),
+    "gab-6-2-F64": gab_code(2, 6, 6, 2),
+    "generic-5-2-F32": _generic_code(),
+}
+
+
+def _annihilated(h: MatQm, c: MatQm) -> bool:
+    """H @ C^T = 0, entry by entry with the field's `mul` and `add` alone."""
+    add, mul = h.ctx.add, h.ctx.mul
+    return all(reduce(add, map(mul, hrow, crow), 0) == 0 for hrow in h.data for crow in c.data)
+
+
+@pytest.mark.parametrize("factor", [1, 4, 32])
+@pytest.mark.parametrize("name", HIGH_ORDER_CODES)
+def test_high_order_interleaving_keeps_the_guarantee(name, factor):
+    # ell = t, 4t and 32t with t = d - 2: every fullrank error is corrected,
+    # and no uniform error of weight up to n - k gives a non-codeword success.
+    code = HIGH_ORDER_CODES[name]
+    t = code.d - 2
+    ell = factor * t
+    for seed in range(20):
+        word, _, received = planted_word(code, ell, t, seed)
+        out = decode(code.h, received, code.d)
+        assert out.success and out.c_hat == word and out.t_hat == t, seed
+    for weight in range(1, code.n - code.k + 1):
+        for seed in range(5):
+            _, _, received = planted_word(code, ell, weight, seed, mode="uniform")
+            for dec in (decode, mk_hamming_decode):
+                out = dec(code.h, received, code.d)
+                assert not out.success or _annihilated(code.h, out.c_hat), (weight, seed, dec)
+
+
+@pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 3)])
+def test_miscorrection_has_deficient_syndrome_rank(q, m):
+    # A success certifies the unique codeword within rank distance t_hat of
+    # the received word, so decoding to another codeword than the one sent
+    # needs a syndrome of rank t_hat < t.
+    ctx = ExtField(q, m)
+    miscorrections = 0
+    for i in range(40):
+        rng = trial_rng(2111, i)
+        n = 3 + rng.below(4)
+        k = 1 + rng.below(n - 1)
+        h = rand_matrix(rng, ctx, n - k, n)
+        if rank_qm(h) < n - k:
+            continue
+        gen = right_kernel_qm(h)
+        for t in range(n - k + 1):
+            for ell in sorted({1, max(t, 1), t + 2}):
+                if t > ell * m:
+                    continue
+                for _ in range(3):
+                    word = rand_matrix(rng, ctx, ell, k) @ gen
+                    err, _, _ = sample_error(rng, ctx, ell, n, t)
+                    out = decode(h, word.add(err))
+                    if out.success and out.c_hat != word:
+                        miscorrections += 1
+                        assert out.t_hat < t, (i, t, ell)
+    assert miscorrections > 0
+
+
 FIELDS = [(2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (7, 2)]
 
 
@@ -239,10 +321,12 @@ def test_carried_rows_are_the_transform_applied(case):
             compute_hsub(h, synd)
         assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
         return
-    t_hat, h_sub, reduced_h, carried_h = compute_hsub(h, synd)
+    t_hat, h_sub, r_top, top = compute_hsub(h, synd)
     assert t_hat == len(pivots) == rank_qm(synd)
     assert h_sub == trans.submatrix(t_hat, h.rows, 0, h.rows) @ h
-    assert (reduced_h, carried_h) == (reduced, carried)
+    assert r_top == reduced.submatrix(0, t_hat, 0, synd.cols)
+    assert reduced.submatrix(t_hat, h.rows, 0, synd.cols).is_zero()
+    assert top == carried.submatrix(0, t_hat, 0, h.cols)
 
 
 CONDITION_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
@@ -481,8 +565,8 @@ def test_two_passes_match_gauss_jordan(case):
         assert compute_hsub(other, mat) == (
             rank,
             carried.submatrix(rank, rows, 0, other.cols),
-            reduced,
-            carried,
+            reduced.submatrix(0, rank, 0, cols),
+            carried.submatrix(0, rank, 0, other.cols),
         )
 
 
