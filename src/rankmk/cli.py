@@ -17,7 +17,7 @@ from .codes import GabidulinSpec, LinearCodeSpec, code_spec_from_text, resolve_c
 from .decoder import decode
 from .errors import FormatError, ParameterError
 from .fields import ExtField, _check_q_m, _check_rabin_size
-from .matrix import MatQm, mat_from_text
+from .matrix import mat_from_text
 from .simulate import SimConfig, run_trials, sample_error, success_lower_bound, trial_rng
 
 EXIT_OK = 0
@@ -61,14 +61,6 @@ def _load_code(args) -> LinearCodeSpec:
     return resolve_code(spec)
 
 
-def _read_matrix(path: str, ctx: ExtField | None = None) -> MatQm:
-    return mat_from_text(Path(path).read_text(), ctx=ctx)
-
-
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -85,26 +77,26 @@ def cmd_demo(args) -> int:
 
 def cmd_encode(args) -> int:
     code = _load_code(args)
-    msg = _read_matrix(args.message, ctx=code.ctx)
+    msg = mat_from_text(Path(args.message).read_text(), ctx=code.ctx)
     if msg.cols != code.k:
         raise ParameterError(f"message has {msg.cols} columns, code dimension is {code.k}")
-    _write(args.out, (msg @ code.gen).to_text())
+    Path(args.out).write_text((msg @ code.gen).to_text())
     return EXIT_OK
 
 
 def cmd_corrupt(args) -> int:
     ctx = ExtField.from_spec(args.field) if args.field else None
-    word = _read_matrix(args.infile, ctx=ctx)
+    word = mat_from_text(Path(args.infile).read_text(), ctx=ctx)
     rng = trial_rng(args.seed, 0)
     err, _, _ = sample_error(rng, word.ctx, word.rows, word.cols, args.t, args.mode)
-    _write(args.out, word.add(err).to_text())
-    _write(args.error_out, err.to_text())
+    Path(args.out).write_text(word.add(err).to_text())
+    Path(args.error_out).write_text(err.to_text())
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     code = _load_code(args)
-    received = _read_matrix(args.infile, ctx=code.ctx)
+    received = mat_from_text(Path(args.infile).read_text(), ctx=code.ctx)
     outcome = decode(code.h, received, code.d)
     if not outcome.success:
         print(
@@ -112,11 +104,11 @@ def cmd_decode(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DECODE_FAILURE
-    _write(args.out, outcome.c_hat.to_text())
+    Path(args.out).write_text(outcome.c_hat.to_text())
     if args.out_coeff:
-        _write(args.out_coeff, outcome.a_hat.to_text())
+        Path(args.out_coeff).write_text(outcome.a_hat.to_text())
     if args.out_support:
-        _write(args.out_support, outcome.b_hat.to_text())
+        Path(args.out_support).write_text(outcome.b_hat.to_text())
     print(f"status,success t,{outcome.t_hat} beyond,{int(outcome.beyond_guarantee)}")
     return EXIT_OK
 
@@ -126,7 +118,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(code=code, ell=args.ell, t=args.t, trials=args.trials, seed=args.seed, mode=args.mode)
     report = run_trials(cfg)
     if args.out:
-        _write(args.out, report.to_csv())
+        Path(args.out).write_text(report.to_csv())
     else:
         sys.stdout.write(report.to_csv())
     print(report.summary_line())

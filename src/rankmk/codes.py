@@ -15,7 +15,7 @@ the matrix textual format (header line included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 
 from .errors import FormatError, ParameterError
 from .fields import ExtField, _spec_fields
@@ -126,21 +126,22 @@ def parity_check_from_generator(gen: MatQm) -> MatQm:
 
 
 def min_rank_distance_exhaustive(spec: GabidulinSpec | LinearCodeSpec) -> int:
-    """Exact minimum rank distance by enumerating all nonzero codewords;
-    a code of dimension 0 has none, which is a ParameterError."""
+    """Exact minimum rank distance by enumerating the nonzero codewords up
+    to F_{q^m}-scalars, which keep the rank weight: one message per line,
+    the one whose first nonzero entry is 1.  A code of dimension 0 has no
+    nonzero codeword, which is a ParameterError."""
     gen = resolve_code(spec).gen
     ctx, k, order = gen.ctx, gen.rows, gen.ctx.order
     if k == 0:
         raise ParameterError("a code of dimension 0 has no nonzero codeword")
     if order**k > ENUM_LIMIT:
         raise ParameterError(f"enumeration of {order}^{k} codewords exceeds the size guard")
-    best = None
-    for msg in islice(product(range(order), repeat=k), 1, None):  # all but the zero message
-        w = rank_q(MatQm._wrap(ctx, [list(msg)], k) @ gen)
-        if best is None or w < best:
-            best = w
+    best = gen.cols
+    for lead in range(k):
+        for tail in product(range(order), repeat=k - 1 - lead):
+            best = min(best, rank_q(MatQm._wrap(ctx, [[0] * lead + [1, *tail]], k) @ gen))
             if best == 1:
-                break
+                return best
     return best
 
 

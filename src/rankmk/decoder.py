@@ -97,8 +97,7 @@ def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
     ctx, s, carried = h.ctx, synd.cols, _result_type(synd, h)
-    if t_hat > 1:
-        _back_pass(ctx, work, pivots)
+    _back_pass(ctx, work, pivots)
     h_sub, top = (carried._wrap(ctx, [r[s:] for r in rows], h.cols) for rows in (work[t_hat:], work[:t_hat]))
     return t_hat, h_sub, type(synd)._wrap(ctx, [r[:s] for r in work[:t_hat]], s), top
 
@@ -181,6 +180,11 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
 
 def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:
     """Rank-metric decoding; never returns success with a non-codeword.
+
+    A success with t_hat certifies c_hat as the unique codeword within rank
+    distance t_hat of `received`, at distance exactly t_hat, so a
+    miscorrection (a success with another codeword than the one sent) has
+    t_hat < t.
 
     The minimum rank distance `d`, when known, only sets the
     beyond_guarantee flag (t_hat > d - 2); it is not used in computation.

@@ -16,11 +16,11 @@ takes the leftmost column with a nonzero entry at or below the next pivot
 row, the topmost such row as pivot, normalizes it to 1 and clears below it:
 that is row echelon form, and its pivot count is the rank.  The back pass,
 `_back_pass`, clears above each pivot, from the last one up, which gives the
-RREF; one pivot needs no back pass.  RREF is unique, and the rows past the
-rank only ever receive the forward pass's operations, so the reduced and
-carried blocks are those of one-loop Gauss-Jordan.  Callers stop as early as
-their answer allows: `rank_qm` and the odd-q `rank_q` run the forward pass
-alone, `solve_right` raises on a singular system before the back pass, and
+RREF.  RREF is unique, and the rows past the rank only ever receive the
+forward pass's operations, so the reduced and carried blocks are those of
+one-loop Gauss-Jordan.  Callers stop as early as their answer allows:
+`rank_qm` and the odd-q `rank_q` run the forward pass alone, `solve_right`
+raises on a singular system before the back pass, and
 `decoder.compute_hsub` raises TOO_MANY_ERRORS after `_forward_carry` and
 runs `_back_pass` itself.  `rref`, `rref_carry` and `right_kernel_qm` run
 both passes; `rref_carry` is the public, tested form of the carried
@@ -108,15 +108,6 @@ class MatQm:
     def transpose(self) -> "MatQm":
         data = [list(c) for c in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
         return type(self)._wrap(self.ctx, data, self.rows)
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "MatQm":
-        """Rows r0:r1 and columns c0:c1 (half-open, like slices)."""
-        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
-            raise FormatError("submatrix range out of bounds")
-        rows = self.data[r0:r1]
-        if c0 or c1 != self.cols:
-            rows = [r[c0:c1] for r in rows]
-        return type(self)._wrap(self.ctx, rows, c1 - c0)
 
     def _conformable(self, other: "MatQm", rows: bool = False, cols: bool = False) -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -288,8 +279,7 @@ def rref(mat: MatQm) -> tuple[MatQm, list[int]]:
     ctx = mat.ctx
     out = list(mat.data)
     pivots = _forward_pass(ctx, out, mat.cols)
-    if len(pivots) > 1:
-        _back_pass(ctx, out, pivots)
+    _back_pass(ctx, out, pivots)
     return type(mat)._wrap(ctx, out, mat.cols), pivots
 
 
@@ -298,8 +288,7 @@ def rref_carry(mat: MatQm, other: MatQm) -> tuple[MatQm, MatQm, list[int]]:
     of [mat | other] with pivots chosen only in mat's columns."""
     work, pivots = _forward_carry(mat, other)
     ctx, b = mat.ctx, mat.cols
-    if len(pivots) > 1:
-        _back_pass(ctx, work, pivots)
+    _back_pass(ctx, work, pivots)
     reduced = type(mat)._wrap(ctx, [r[:b] for r in work], b)
     return reduced, _result_type(mat, other)._wrap(ctx, [r[b:] for r in work], other.cols), pivots
 
@@ -352,8 +341,7 @@ def _forward_pass(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
 def _back_pass(ctx: ExtField, work: list[list[int]], pivots: list[int]) -> None:
     """Reduce `_forward_pass`'s echelon rows in place: from the last pivot up,
     clear each pivot's column above it.  Only pivot rows change, each by
-    later pivot rows, so rows past the rank keep the forward pass's values.
-    The first pivot has nothing above it, so callers skip a single pivot."""
+    later pivot rows, so rows past the rank keep the forward pass's values."""
     sub_scaled = ctx._sub_scaled_row
     for r in range(len(pivots) - 1, 0, -1):
         c, prow = pivots[r], work[r]
@@ -437,6 +425,5 @@ def solve_right(coeff: MatQm, rhs: MatQm) -> MatQm:
     work, pivots = _forward_carry(coeff, rhs)
     if len(pivots) < b:
         raise RankDeficientError(f"coefficient matrix has column rank {len(pivots)} < {b}")
-    if b > 1:
-        _back_pass(coeff.ctx, work, pivots)
+    _back_pass(coeff.ctx, work, pivots)
     return MatQm._wrap(coeff.ctx, [r[b:] for r in work], rhs.cols).transpose()

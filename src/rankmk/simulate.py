@@ -155,8 +155,6 @@ def sample_error(
         raise ParameterError(f"mode must be 'uniform' or 'fullrank', got {mode!r}")
     if t > n or (mode == "uniform" and t > ell * ctx.m) or (mode == "fullrank" and t > ell):
         raise ParameterError(f"rank weight t={t} infeasible for ell={ell}, n={n}")
-    if t == 0:
-        return MatQm.zeros(ctx, ell, n), MatQm.zeros(ctx, ell, 0), MatQ.zeros(ctx, 0, n)
     basis = sample_full_rank(rng, ctx, t, n, t, subfield=True, rank_over="q")
     coeff = sample_full_rank(rng, ctx, ell, t, t, rank_over="q" if mode == "uniform" else "qm")
     return coeff @ basis, coeff, basis
@@ -194,14 +192,18 @@ def count_matrices_rank(n: int, m: int, t: int, q: int) -> int:
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.  It reaches 0 at 0
+    successes and 1 at `trials` successes exactly; those ends are returned as
+    such, not as the float sums, which can miss them by an ulp."""
     if trials <= 0:
         raise ParameterError("wilson_interval needs at least one trial")
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * ((p * (1 - p) / trials + z * z / (4 * trials * trials)) ** 0.5) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 # -- Monte-Carlo harness --------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from rankmk.codes import GabidulinSpec, LinearCodeSpec, resolve_code
+from rankmk.codes import GabidulinSpec, LinearCodeSpec, parity_check_from_generator, resolve_code
 from rankmk.fields import ExtField
 from rankmk.matrix import MatQ, MatQm, rank_q, rref
 from rankmk.simulate import rand_matrix, sample_error, trial_rng
@@ -21,6 +21,11 @@ REGIME_FIELDS = {
     "F9-untabled": (3, 2, (1, 0, 1)),
     "F16-untabled": (2, 4, (1, 1, 1, 1, 1)),
 }
+
+
+def block(mat: MatQm, r0: int, r1: int, c0: int, c1: int) -> MatQm:
+    """Rows r0:r1 and columns c0:c1 of mat (half-open, like slices), same type."""
+    return type(mat)(mat.ctx, [r[c0:c1] for r in mat.data[r0:r1]], c1 - c0)
 
 
 def full_rank_vandermonde(ctx: ExtField, n: int) -> MatQm:
@@ -48,6 +53,30 @@ def gab_code(q: int, m: int, n: int, k: int) -> LinearCodeSpec:
     """Gabidulin code with locators 1, alpha, ..., alpha^(n-1), resolved."""
     ctx = ExtField(q, m)
     return resolve_code(GabidulinSpec(ctx, tuple(ctx.alpha_pow(i) for i in range(n)), k))
+
+
+def twisted_gabidulin(ctx: ExtField, k: int, eta: int, d: int | None = None) -> LinearCodeSpec:
+    """The [m, k] twisted Gabidulin code over ctx with twist eta (Sheekey,
+    2016): with g = (1, alpha, ..., alpha^(m-1)), row 0 of the generator is
+    g + eta * g^[k] and row i, for 1 <= i < k, is g^[i], where g^[i] raises
+    each entry to the q^i-th power.  It is MRD when the norm
+    eta^((q^m - 1)/(q - 1)) differs from (-1)^(k*m)."""
+    g = [ctx.alpha_pow(i) for i in range(ctx.m)]
+    rows = [[ctx.add(a, ctx.mul(eta, ctx.frobenius(a, k))) for a in g]]
+    rows += [[ctx.frobenius(a, i) for a in g] for i in range(1, k)]
+    gen = MatQm(ctx, rows, ctx.m)
+    return LinearCodeSpec(parity_check_from_generator(gen), d, gen)
+
+
+def twist(ctx: ExtField, k: int, mrd: bool, rng) -> int:
+    """A nonzero eta drawn from rng whose norm meets (mrd=True) or breaks
+    (mrd=False) the MRD condition of `twisted_gabidulin`."""
+    q, m = ctx.q, ctx.m
+    excluded = ctx.neg(1) if k * m % 2 else 1
+    while True:
+        eta = 1 + rng.below(ctx.order - 1)
+        if (ctx.pow(eta, (q**m - 1) // (q - 1)) != excluded) == mrd:
+            return eta
 
 
 def all_rref_bases(ctx: ExtField, t: int, n: int):

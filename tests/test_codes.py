@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import gab_code
+from conftest import gab_code, twist, twisted_gabidulin
 from rankmk.codes import (
     GabidulinSpec,
     LinearCodeSpec,
@@ -17,7 +17,7 @@ from rankmk.codes import (
 from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import MatQm, rank_q, rank_qm, right_kernel_qm
-from rankmk.simulate import SplitMix64, lo_condition_check, rand_matrix
+from rankmk.simulate import SplitMix64, lo_condition_check, rand_matrix, trial_rng
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +267,14 @@ def test_resolve_code_matches_checked_constructor(q, m, n, k):
     assert resolved == LinearCodeSpec(h=parity_check_from_generator(gen), d=spec.d, gen=gen)
     bare = LinearCodeSpec(h=resolved.h, d=spec.d)
     assert resolve_code(bare) == LinearCodeSpec(h=bare.h, d=bare.d, gen=right_kernel_qm(bare.h))
+
+
+@pytest.mark.parametrize("m, mrd, d", [(4, True, 3), (4, False, 2), (5, True, 4), (5, False, 3)])
+def test_twisted_gabidulin_distance_follows_the_norm_condition(m, mrd, d):
+    # A twisted Gabidulin [m, 2] code over F_{3^m} is MRD, d = m - 1, when
+    # the norm of its twist differs from (-1)^(2m) = 1.  The twists drawn
+    # here that break the condition give a smaller d; that does not settle
+    # whether every such twist does.
+    ctx = ExtField(3, m)
+    code = twisted_gabidulin(ctx, 2, twist(ctx, 2, mrd, trial_rng(2213, m)))
+    assert min_rank_distance_exhaustive(code) == d

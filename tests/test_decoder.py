@@ -7,11 +7,14 @@ import pytest
 
 from conftest import (
     all_rref_bases,
+    block,
     count_row_subtractions,
     full_rank_vandermonde,
     gab_code,
     is_rref,
     planted_word,
+    twist,
+    twisted_gabidulin,
 )
 from rankmk.codes import GabidulinSpec, LinearCodeSpec, min_rank_distance_exhaustive, resolve_code
 from rankmk.decoder import (
@@ -88,8 +91,8 @@ def test_compute_hsub_worked_example(worked):
     t_hat, h_sub, r_top, top = compute_hsub(worked["H"], worked["S"])
     reduced, carried, _ = rref_carry(worked["S"], worked["H"])
     assert t_hat == 2 and h_sub.rows == 1 and reduced == rref(worked["S"])[0]
-    assert r_top == reduced.submatrix(0, 2, 0, 2) and reduced.submatrix(2, 3, 0, 2).is_zero()
-    assert (h_sub, top) == (carried.submatrix(2, 3, 0, 5), carried.submatrix(0, 2, 0, 5))
+    assert r_top == block(reduced, 0, 2, 0, 2) and block(reduced, 2, 3, 0, 2).is_zero()
+    assert (h_sub, top) == (block(carried, 2, 3, 0, 5), block(carried, 0, 2, 0, 5))
     # the echelonizing transform is unique only up to scaling here
     assert rref(h_sub)[0] == rref(worked["H_sub"])[0]
 
@@ -406,6 +409,22 @@ def test_guarantee_on_non_mrd_codes():
             err, _, _ = sample_error(rng, ctx, t, code.n, t, "fullrank")
             out = decode(code.h, word.add(err), d)
             assert out.success and out.c_hat == word and not out.beyond_guarantee
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_twisted_gabidulin_guarantee_past_enumeration(k):
+    # Twisted Gabidulin [6, k] codes over F_{3^6}, MRD by the norm condition:
+    # d = 7 - k is a theorem, and [6, 3] has 729^3 codewords, past
+    # ENUM_LIMIT.  Full-rank errors of weight t = d - 2 with ell = t decode.
+    ctx = ExtField(3, 6)
+    rng = trial_rng(2213, 6 + k)
+    code = twisted_gabidulin(ctx, k, twist(ctx, k, True, rng), d=7 - k)
+    t = code.d - 2
+    for i in range(100):
+        word = rand_matrix(rng, ctx, t, k) @ code.gen
+        err, _, _ = sample_error(rng, ctx, t, code.n, t, "fullrank")
+        out = decode(code.h, word.add(err), code.d)
+        assert out.success and out.c_hat == word and out.t_hat == t, i
 
 
 def test_heterogeneous_rows_decode_with_supercode():

@@ -1,6 +1,7 @@
 """Property tests: the shared decoding pipeline and its success condition,
-the high-order regime (ell up to 32t) and what a miscorrection implies,
-the dual-code construction, the carried row reduction, the beyond-d-2
+the high-order regime (ell up to 32t), what a miscorrection implies and a
+brute-force check that a success is the unique nearest codeword, the
+dual-code construction, the carried row reduction, the beyond-d-2
 condition, the F_q rank and kernel on both matrix types, elimination with
 and without field tables, the two elimination passes against one-loop
 Gauss-Jordan, and the input parsers.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REGIME_FIELDS, gab_code, is_rref, planted_word
+from conftest import REGIME_FIELDS, block, gab_code, is_rref, planted_word
 from rankmk.codes import (
     LinearCodeSpec,
     code_spec_from_text,
@@ -250,6 +251,55 @@ def test_miscorrection_has_deficient_syndrome_rank(q, m):
     assert miscorrections > 0
 
 
+ORACLE_GABIDULIN = {"gab-F8-[3,1]": (2, 3, 3), "gab-F16-[4,1]": (2, 4, 4), "gab-F27-[3,1]": (3, 3, 3)}
+ORACLE_CODES = [*ORACLE_GABIDULIN, "random-F8-[4,1]-0", "random-F8-[4,1]-1", "random-F8-[4,1]-2"]
+
+
+def _oracle_code(name: str, rng) -> tuple[MatQm, MatQm]:
+    """(H, generator) of a [n, 1] code: a Gabidulin code by (q, m, n), or a
+    random [4, 1] code over F_8 whose full-rank 3 x 4 H is drawn from rng."""
+    if name.startswith("gab"):
+        code = gab_code(*ORACLE_GABIDULIN[name], 1)
+        return code.h, code.gen
+    ctx = ExtField(2, 3)
+    h = rand_matrix(rng, ctx, 3, 4)
+    while rank_qm(h) < 3:
+        h = rand_matrix(rng, ctx, 3, 4)
+    return h, right_kernel_qm(h)
+
+
+@pytest.mark.parametrize("name", ORACLE_CODES)
+def test_success_is_the_unique_nearest_codeword(name):
+    # Brute force over all |F|^2 interleaved codewords of an ell = 2, k = 1
+    # code: on every success, C_hat is the one codeword C' with
+    # rank_q(R - C') <= t_hat, and it lies at distance exactly t_hat.
+    rng = trial_rng(2027, ORACLE_CODES.index(name))
+    h, gen = _oracle_code(name, rng)
+    ctx, n = h.ctx, h.cols
+    multiples = [[ctx.mul(u, g) for g in gen.data[0]] for u in range(ctx.order)]
+    successes = 0
+    for i in range(150):
+        word = rand_matrix(rng, ctx, 2, 1) @ gen
+        err, _, _ = sample_error(rng, ctx, 2, n, 1 + i % (n - 1))
+        received = word.add(err)
+        out = decode(h, received)
+        if not out.success:
+            continue
+        successes += 1
+        # each received row minus every multiple of the generator row
+        diffs = [[[ctx.sub(r, c) for r, c in zip(row, mult)] for mult in multiples] for row in received.data]
+        near = [
+            (u0, u1, dist)
+            for u0, top in enumerate(diffs[0])
+            for u1, bottom in enumerate(diffs[1])
+            if (dist := rank_q(MatQm(ctx, [top, bottom], n))) <= out.t_hat
+        ]
+        assert len(near) == 1, (i, near)
+        u0, u1, dist = near[0]
+        assert dist == out.t_hat and MatQm(ctx, [multiples[u0], multiples[u1]], n) == out.c_hat, i
+    assert successes or name.startswith("random")
+
+
 FIELDS = [(2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (7, 2)]
 
 
@@ -323,10 +373,10 @@ def test_carried_rows_are_the_transform_applied(case):
         return
     t_hat, h_sub, r_top, top = compute_hsub(h, synd)
     assert t_hat == len(pivots) == rank_qm(synd)
-    assert h_sub == trans.submatrix(t_hat, h.rows, 0, h.rows) @ h
-    assert r_top == reduced.submatrix(0, t_hat, 0, synd.cols)
-    assert reduced.submatrix(t_hat, h.rows, 0, synd.cols).is_zero()
-    assert top == carried.submatrix(0, t_hat, 0, h.cols)
+    assert h_sub == block(trans, t_hat, h.rows, 0, h.rows) @ h
+    assert r_top == block(reduced, 0, t_hat, 0, synd.cols)
+    assert block(reduced, t_hat, h.rows, 0, synd.cols).is_zero()
+    assert top == block(carried, 0, t_hat, 0, h.cols)
 
 
 CONDITION_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
@@ -459,7 +509,7 @@ def test_elimination_does_not_depend_on_the_arithmetic_regime(case):
         mat, rhs = MatQm(field, data, cols), MatQm(field, other, carried)
         k = min(mat.rows, cols)
         try:
-            solved = solve_right(mat.submatrix(0, k, 0, k), rhs.submatrix(0, k, 0, carried))
+            solved = solve_right(block(mat, 0, k, 0, k), block(rhs, 0, k, 0, carried))
         except RankDeficientError as exc:
             solved = str(exc)
         return rref_carry(mat, rhs), right_kernel_qm(mat), solved
@@ -564,9 +614,9 @@ def test_two_passes_match_gauss_jordan(case):
     else:
         assert compute_hsub(other, mat) == (
             rank,
-            carried.submatrix(rank, rows, 0, other.cols),
-            reduced.submatrix(0, rank, 0, cols),
-            carried.submatrix(0, rank, 0, other.cols),
+            block(carried, rank, rows, 0, other.cols),
+            block(reduced, 0, rank, 0, cols),
+            block(carried, 0, rank, 0, other.cols),
         )
 
 

@@ -253,6 +253,15 @@ def test_wilson_interval():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_is_exact_at_the_ends():
+    # The float sums land an ulp inside [0, 1] for many counts (first at 7
+    # and 13 trials); the interval must still reach 1 on all successes and
+    # 0 on none.
+    for trials in range(1, 400):
+        assert wilson_interval(trials, trials)[1] == 1.0, trials
+        assert wilson_interval(0, trials)[0] == 0.0, trials
+
+
 def test_run_trials_deterministic():
     code = gab_code(2, 4, 4, 1)
     cfg = SimConfig(code=code, ell=2, t=2, trials=300, seed=123, mode="uniform")
@@ -274,6 +283,19 @@ def test_run_trials_fullrank_within_guarantee_never_fails():
     assert report.successes == 400
     assert report.miscorrections == 0
     assert report.duality_violations == 0
+
+
+@pytest.mark.parametrize("ell", [8, 64])
+def test_run_trials_at_high_order(ell):
+    # The paper's regime, ell >> t: with t = 2 = d - 2 on [4, 1] over F_{2^4},
+    # a trial fails only without the full-rank condition, whose probability
+    # the product bound caps; no failure of another kind, no miscorrection.
+    cfg = SimConfig(code=gab_code(2, 4, 4, 1), ell=ell, t=2, trials=200, seed=2212, mode="uniform")
+    report = run_trials(cfg, check_support_duality=True)
+    assert report.bound_applies is True
+    assert report.miscorrections == report.erasure_failures == report.verification_failures == 0
+    assert report.duality_violations == 0
+    assert report.wilson_high >= float(report.bound_product)
 
 
 def test_support_duality_check_rejects_wrong_bases():
