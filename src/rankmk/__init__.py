@@ -39,7 +39,6 @@ from .matrix import (
     right_kernel_qm,
     rref,
     rref_carry,
-    rref_with_transform,
     solve_right,
 )
 from .simulate import (

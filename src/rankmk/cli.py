@@ -18,7 +18,7 @@ from .decoder import decode
 from .errors import FormatError, ParameterError
 from .fields import ExtField, _check_q_m, _check_rabin_size
 from .matrix import mat_from_text
-from .simulate import SimConfig, run_trials, sample_error, success_lower_bound, trial_rng
+from .simulate import MODES, SimConfig, run_trials, sample_error, success_lower_bound, trial_rng
 
 EXIT_OK = 0
 EXIT_DECODE_FAILURE = 2
@@ -162,6 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--code", help="inline code, e.g. 'gabidulin:g=1,2,4,8,16,k=2'")
         p.add_argument("--code-file", help="path to a code spec file")
 
+    def add_draw_args(p):
+        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+        p.add_argument("--mode", choices=MODES, default=MODES[0])
+
     p = sub.add_parser("encode", help="message matrix -> interleaved codeword matrix")
     add_code_args(p)
     p.add_argument("--message", required=True, help="message matrix file (ell x k)")
@@ -172,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="field spec override (default polynomial otherwise)")
     p.add_argument("--in", dest="infile", required=True, help="codeword matrix file")
     p.add_argument("--t", type=int, required=True, help="rank weight of the planted error")
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--mode", choices=("uniform", "fullrank"), default="uniform")
+    add_draw_args(p)
     p.add_argument("--out", required=True, help="received-word output file")
     p.add_argument("--error-out", required=True, help="planted-error output file")
     p.set_defaults(func=cmd_corrupt)
@@ -191,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True, help="interleaving order")
     p.add_argument("--t", type=int, required=True, help="rank weight per trial")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--mode", choices=("uniform", "fullrank"), default="uniform")
+    add_draw_args(p)
     p.add_argument("--out", help="CSV report file (stdout otherwise)")
     p.set_defaults(func=cmd_simulate)
 

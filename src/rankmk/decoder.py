@@ -63,7 +63,10 @@ class DecodeFailure(Exception):
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    success: bool
+    """What a decode found.  `reason` is None exactly on a success, which
+    alone carries the decoded word, its factors and the trailing rows;
+    `detail` says in words why a decode failed and is empty on success."""
+
     reason: FailureReason | None
     t_hat: int
     c_hat: MatQm | None = None
@@ -71,11 +74,11 @@ class DecodeOutcome:
     b_hat: MatQ | None = None
     h_sub: MatQm | None = None
     beyond_guarantee: bool = False
-    detail: str = ""  # why a decode failed, in words; empty on success
+    detail: str = ""
 
-    @classmethod
-    def failed(cls, reason: FailureReason, t_hat: int, beyond: bool, detail: str) -> "DecodeOutcome":
-        return cls(success=False, reason=reason, t_hat=t_hat, beyond_guarantee=beyond, detail=detail)
+    @property
+    def success(self) -> bool:
+        return self.reason is None
 
 
 def syndrome(h: MatQm, received: MatQm) -> MatQm:
@@ -161,21 +164,14 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
         # rank_qm, a forward pass, as the failure path's own stage
         # (rankbench/NOTES.md).
         t_hat = rank_qm(synd)
-        return DecodeOutcome.failed(failure.reason, t_hat, d is not None and t_hat > d - 2, str(failure))
+        beyond = d is not None and t_hat > d - 2
+        return DecodeOutcome(failure.reason, t_hat, beyond_guarantee=beyond, detail=str(failure))
     beyond = d is not None and t_hat > d - 2
     c_hat = received.sub(a_hat @ basis)
     if not (h @ c_hat.transpose()).is_zero():
-        return DecodeOutcome.failed(FailureReason.VERIFICATION_FAILED, t_hat, beyond, "H @ C_hat^T != 0")
-    return DecodeOutcome(
-        success=True,
-        reason=None,
-        t_hat=t_hat,
-        c_hat=c_hat,
-        a_hat=a_hat,
-        b_hat=basis,
-        h_sub=h_sub,
-        beyond_guarantee=beyond,
-    )
+        reason = FailureReason.VERIFICATION_FAILED
+        return DecodeOutcome(reason, t_hat, beyond_guarantee=beyond, detail="H @ C_hat^T != 0")
+    return DecodeOutcome(None, t_hat, c_hat, a_hat, basis, h_sub, beyond)
 
 
 def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:

@@ -19,10 +19,10 @@ that is row echelon form, and its pivot count is the rank.  The back pass,
 RREF.  RREF is unique, and the rows past the rank only ever receive the
 forward pass's operations, so the reduced and carried blocks are those of
 one-loop Gauss-Jordan.  Callers stop as early as their answer allows:
-`rank_qm` and the odd-q `rank_q` run the forward pass alone, `solve_right`
-raises on a singular system before the back pass, and
-`decoder.compute_hsub` raises TOO_MANY_ERRORS after `_forward_carry` and
-runs `_back_pass` itself.  `rref`, `rref_carry` and `right_kernel_qm` run
+`rank_qm` runs the forward pass alone, along the shorter side of the
+matrix (rank(M) = rank(M^T)), `solve_right` raises on a singular system
+before the back pass, and `decoder.compute_hsub` raises TOO_MANY_ERRORS
+after `_forward_carry` and runs `_back_pass` itself.  `rref`, `rref_carry` and `right_kernel_qm` run
 both passes; `rref_carry` is the public, tested form of the carried
 elimination.
 
@@ -31,8 +31,8 @@ themselves: a `MatQ` is its own, an F_{q^m} matrix has `ext_expand`.  For
 q = 2 both reduce the columns of that view as int bit masks in one F_2
 core, `_gf2_rref`, and build no expansion: the code of an F_{2^m} entry
 already holds its m coordinate bits, so column j of `ext_expand(M)` is the
-integer sum(M[i][j] << m*i).  For odd q, `rank_q` runs the forward pass on
-the shorter side of the view (rank(M) = rank(M^T)).  `right_kernel_qm`
+integer sum(M[i][j] << m*i).  For odd q, `rank_q` is `rank_qm` of the
+view, whose rank over F_{q^m} is its rank over F_q.  `right_kernel_qm`
 reduces the column-reversed matrix once, whose free-column vectors already
 are the RREF kernel basis.  Both passes hand each row operation, whole rows
 at a time, to the field's row kernels `ExtField._scale_row` and
@@ -355,20 +355,20 @@ def _back_pass(ctx: ExtField, work: list[list[int]], pivots: list[int]) -> None:
 
 
 def rank_qm(mat: MatQm) -> int:
-    """Rank over the extension field F_{q^m}: the forward pass alone."""
-    return len(_forward_pass(mat.ctx, list(mat.data), mat.cols))
+    """Rank over the extension field F_{q^m}: the forward pass alone, on
+    the rows of mat or, when mat is tall, on its columns (rank(M) = rank(M^T))."""
+    work, cols = list(mat.data), mat.cols
+    if len(work) > cols:
+        work, cols = list(zip(*work)), len(work)
+    return len(_forward_pass(mat.ctx, work, cols))
 
 
 def rank_q(mat: MatQm) -> int:
-    """Rank of the coordinate expansion over the base field F_q."""
+    """Rank of the coordinate expansion over the base field F_q: the F_2 core
+    for q = 2, else `rank_qm` of the F_q view."""
     if mat.ctx.q == 2:
         return len(_gf2_rref(_gf2_columns(mat)[0]))
-    view = mat if isinstance(mat, MatQ) else ext_expand(mat)
-    work, cols = list(view.data), view.cols
-    if len(work) > cols:
-        # rank(M) = rank(M^T): eliminate along the shorter side.
-        work, cols = list(zip(*work)), len(work)
-    return len(_forward_pass(view.ctx, work, cols))
+    return rank_qm(mat if isinstance(mat, MatQ) else ext_expand(mat))
 
 
 # -- kernels and complements ----------------------------------------------------------------

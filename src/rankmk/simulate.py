@@ -40,6 +40,9 @@ Z99 = 2.5758293035489004
 # Give up on rank-conditioned rejection sampling after this many redraws.
 MAX_REJECTS = 10_000
 
+# The error distributions of `sample_error`, the first one the default.
+MODES = ("uniform", "fullrank")
+
 
 def mix64(z: int) -> int:
     z &= _MASK64
@@ -140,8 +143,13 @@ def sample_full_rank(
     raise ParameterError(f"no rank-{rank} sample found after {MAX_REJECTS} draws")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ParameterError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+
+
 def sample_error(
-    rng: SplitMix64, ctx: ExtField, ell: int, n: int, t: int, mode: str = "uniform"
+    rng: SplitMix64, ctx: ExtField, ell: int, n: int, t: int, mode: str = MODES[0]
 ) -> tuple[MatQm, MatQm, MatQ]:
     """Error E = A @ B of rank weight exactly t; returns (E, A, B).
 
@@ -151,8 +159,7 @@ def sample_error(
     until its extension-field rank is t, so E satisfies the full-rank
     condition by construction.
     """
-    if mode not in ("uniform", "fullrank"):
-        raise ParameterError(f"mode must be 'uniform' or 'fullrank', got {mode!r}")
+    _check_mode(mode)
     if t > n or (mode == "uniform" and t > ell * ctx.m) or (mode == "fullrank" and t > ell):
         raise ParameterError(f"rank weight t={t} infeasible for ell={ell}, n={n}")
     basis = sample_full_rank(rng, ctx, t, n, t, subfield=True, rank_over="q")
@@ -163,14 +170,18 @@ def sample_error(
 # -- bounds and counting -------------------------------------------------------
 
 
+def _check_t_ell(t: int, ell: int) -> None:
+    if t < 0 or ell < t:
+        raise ParameterError(f"bounds require 0 <= t <= ell, got t={t}, ell={ell}")
+
+
 def success_lower_bound(t: int, ell: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     """(product, simple) lower bounds on the full-rank-condition probability.
 
     product = prod_{i=0}^{t-1} (1 - q^(m(i-ell))), simple = 1 - t q^(m(t-1-ell)).
     q and m must be ones that ExtField(q, m) accepts.
     """
-    if t < 0 or ell < t:
-        raise ParameterError(f"bounds require 0 <= t <= ell, got t={t}, ell={ell}")
+    _check_t_ell(t, ell)
     _check_q_m(q, m)
     _check_rabin_size(q, m)
     product = Fraction(1)
@@ -211,26 +222,29 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run of `run_trials`: its code, interleaving order ell, rank weight
+    t, trial count, master seed and error mode (one of MODES).  A run needs
+    0 <= t <= ell in either mode, as its success bounds do, and t <= n; the
+    config refuses any other before a trial or a bound is computed."""
+
     code: GabidulinSpec | LinearCodeSpec
     ell: int
     t: int
     trials: int
     seed: int
-    mode: str = "uniform"
+    mode: str = MODES[0]
 
     def __post_init__(self):
         for name in ("ell", "t", "trials", "seed"):
             if type(getattr(self, name)) is not int:
                 raise FormatError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.mode not in ("uniform", "fullrank"):
-            raise ParameterError(f"mode must be 'uniform' or 'fullrank', got {self.mode!r}")
+        _check_mode(self.mode)
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         n = self.code.n
         if self.t > n:
             raise ParameterError(f"t={self.t} exceeds code length {n}")
-        if self.mode == "fullrank" and self.t > self.ell:
-            raise ParameterError("fullrank mode requires t <= ell")
+        _check_t_ell(self.t, self.ell)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from rankmk.matrix import (
     rank_qm,
     rref,
     rref_carry,
-    rref_with_transform,
     right_kernel_q,
     right_kernel_qm,
     solve_right,
@@ -362,7 +361,7 @@ def test_carried_rows_are_the_transform_applied(case):
     synd, h = case
     reduced, carried, pivots = rref_carry(synd, h)
     assert (reduced, pivots) == rref(synd)
-    trans, reduced_t = rref_with_transform(synd)
+    reduced_t, trans, _ = rref_carry(synd, MatQm.identity(synd.ctx, synd.rows))
     assert reduced_t == reduced
     assert trans @ synd == reduced and rank_qm(trans) == synd.rows
     assert carried == trans @ h

@@ -368,8 +368,8 @@ def test_run_trials_counts_each_outcome_in_its_row(monkeypatch, reason, t, row):
     # returns the received word, which is the sent word only when t = 0
     def stub(h, received, d=None):
         if reason is None:
-            return DecodeOutcome(success=True, reason=None, t_hat=t, c_hat=received)
-        return DecodeOutcome.failed(reason, t, False, "stub")
+            return DecodeOutcome(None, t, c_hat=received)
+        return DecodeOutcome(reason, t, detail="stub")
 
     monkeypatch.setattr(simulate, "decode", stub)
     report = run_trials(SimConfig(code=gab_code(2, 4, 4, 1), ell=2, t=t, trials=3, seed=0))
@@ -378,12 +378,11 @@ def test_run_trials_counts_each_outcome_in_its_row(monkeypatch, reason, t, row):
 
 
 def test_run_trials_rejects_t_above_ell_before_any_trial():
-    # uniform mode admits t > ell, but the success bounds need t <= ell
+    # uniform errors admit t > ell, but a run's success bounds need t <= ell
     code = gab_code(2, 4, 4, 1)
-    cfg = SimConfig(code=code, ell=2, t=3, trials=20_000, seed=1, mode="uniform")
     start = time.perf_counter()
     with pytest.raises(ParameterError):
-        run_trials(cfg)
+        run_trials(SimConfig(code=code, ell=2, t=3, trials=20_000, seed=1, mode="uniform"))
     assert time.perf_counter() - start < 1.0
 
 
