@@ -22,9 +22,9 @@ one-loop Gauss-Jordan.  Callers stop as early as their answer allows:
 `rank_qm` runs the forward pass alone, along the shorter side of the
 matrix (rank(M) = rank(M^T)), `solve_right` raises on a singular system
 before the back pass, and `decoder.compute_hsub` raises TOO_MANY_ERRORS
-after `_forward_carry` and runs `_back_pass` itself.  `rref`, `rref_carry` and `right_kernel_qm` run
-both passes; `rref_carry` is the public, tested form of the carried
-elimination.
+after `_forward_carry` and runs `_back_pass` itself.  `rref`, `rref_carry`
+and `right_kernel_qm` run both passes; `rref_carry` is the public, tested
+form of the carried elimination.
 
 `rank_q` and `right_kernel_q` take any matrix and read its F_q view
 themselves: a `MatQ` is its own, an F_{q^m} matrix has `ext_expand`.  For
