@@ -214,5 +214,9 @@ def mk_hamming_decode(h: MatQm, received: MatQm, d_hamming: int | None = None) -
     when the burst hits at most d_H - 2 positions and the error columns are
     independent over the extension field.  `d_hamming` only sets the
     beyond_guarantee flag, as `d` does for `decode`.
+
+    As in the rank metric, a success with t_hat certifies c_hat as the
+    unique codeword whose difference from `received` has at most t_hat
+    nonzero columns, and it has exactly t_hat.
     """
     return _decode(h, received, d_hamming, _burst_support)

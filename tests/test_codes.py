@@ -273,8 +273,18 @@ def test_resolve_code_matches_checked_constructor(q, m, n, k):
 def test_twisted_gabidulin_distance_follows_the_norm_condition(m, mrd, d):
     # A twisted Gabidulin [m, 2] code over F_{3^m} is MRD, d = m - 1, when
     # the norm of its twist differs from (-1)^(2m) = 1.  The twists drawn
-    # here that break the condition give a smaller d; that does not settle
-    # whether every such twist does.
+    # here that break the condition give a smaller d; the test below checks
+    # every twist on m = 4.
     ctx = ExtField(3, m)
     code = twisted_gabidulin(ctx, 2, twist(ctx, 2, mrd, trial_rng(2213, m)))
     assert min_rank_distance_exhaustive(code) == d
+
+
+def test_twisted_gabidulin_norm_condition_is_necessary():
+    # Every nonzero twist of the [4, 2] code over F_{3^4}: d = 3 (MRD)
+    # exactly when the norm differs from 1, and d = 2 for the 40 twists of
+    # norm 1, so on this shape the condition is necessary as well.
+    ctx = ExtField(3, 4)
+    for eta in range(1, ctx.order):
+        mrd = ctx.pow(eta, (3**4 - 1) // 2) != 1
+        assert min_rank_distance_exhaustive(twisted_gabidulin(ctx, 2, eta)) == (3 if mrd else 2), eta

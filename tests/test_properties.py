@@ -267,21 +267,29 @@ def _oracle_code(name: str, rng) -> tuple[MatQm, MatQm]:
     return h, right_kernel_qm(h)
 
 
-@pytest.mark.parametrize("name", ORACLE_CODES)
-def test_success_is_the_unique_nearest_codeword(name):
-    # Brute force over all |F|^2 interleaved codewords of an ell = 2, k = 1
-    # code: on every success, C_hat is the one codeword C' with
-    # rank_q(R - C') <= t_hat, and it lies at distance exactly t_hat.
-    rng = trial_rng(2027, ORACLE_CODES.index(name))
+def _check_unique_nearest(name: str, seed: int, decoder, distance, bursts: bool) -> None:
+    """Brute force over all |F|^2 interleaved codewords of an ell = 2, k = 1
+    code: on every success of `decoder`, C_hat is the one codeword C' with
+    distance(R - C') <= t_hat, and it lies at distance exactly t_hat.  The
+    errors are uniform rank errors or, with `bursts`, every other word a
+    column burst instead."""
+    rng = trial_rng(seed, ORACLE_CODES.index(name))
     h, gen = _oracle_code(name, rng)
     ctx, n = h.ctx, h.cols
     multiples = [[ctx.mul(u, g) for g in gen.data[0]] for u in range(ctx.order)]
     successes = 0
     for i in range(150):
         word = rand_matrix(rng, ctx, 2, 1) @ gen
-        err, _, _ = sample_error(rng, ctx, 2, n, 1 + i % (n - 1))
+        t = 1 + i % (n - 1)
+        if bursts and i % 2:
+            positions = set()
+            while len(positions) < t:
+                positions.add(rng.below(n))
+            err = MatQm(ctx, [[rng.below(ctx.order) if j in positions else 0 for j in range(n)] for _ in range(2)])
+        else:
+            err, _, _ = sample_error(rng, ctx, 2, n, t)
         received = word.add(err)
-        out = decode(h, received)
+        out = decoder(h, received)
         if not out.success:
             continue
         successes += 1
@@ -291,12 +299,23 @@ def test_success_is_the_unique_nearest_codeword(name):
             (u0, u1, dist)
             for u0, top in enumerate(diffs[0])
             for u1, bottom in enumerate(diffs[1])
-            if (dist := rank_q(MatQm(ctx, [top, bottom], n))) <= out.t_hat
+            if (dist := distance(MatQm(ctx, [top, bottom], n))) <= out.t_hat
         ]
         assert len(near) == 1, (i, near)
         u0, u1, dist = near[0]
         assert dist == out.t_hat and MatQm(ctx, [multiples[u0], multiples[u1]], n) == out.c_hat, i
     assert successes or name.startswith("random")
+
+
+@pytest.mark.parametrize("name", ORACLE_CODES)
+def test_success_is_the_unique_nearest_codeword(name):
+    _check_unique_nearest(name, 2027, decode, rank_q, bursts=False)
+
+
+@pytest.mark.parametrize("name", ORACLE_CODES)
+def test_hamming_success_is_the_unique_nearest_codeword(name):
+    # the Hamming analogue: distance is the number of nonzero columns
+    _check_unique_nearest(name, 2331, mk_hamming_decode, _burst_weight, bursts=True)
 
 
 FIELDS = [(2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (7, 2)]
