@@ -332,8 +332,9 @@ def test_sim_config_validation():
     code = gab_code(2, 4, 4, 1)
     with pytest.raises(ParameterError):
         SimConfig(code=code, ell=2, t=5, trials=10, seed=0)
-    with pytest.raises(ParameterError):
-        SimConfig(code=code, ell=1, t=2, trials=10, seed=0, mode="fullrank")
+    for mode in ("uniform", "fullrank"):
+        with pytest.raises(ParameterError, match=r"bounds require 0 <= t <= ell, got t=2, ell=1"):
+            SimConfig(code=code, ell=1, t=2, trials=10, seed=0, mode=mode)
     with pytest.raises(ParameterError):
         SimConfig(code=code, ell=2, t=1, trials=0, seed=0)
     with pytest.raises(ParameterError):
