@@ -11,7 +11,11 @@ written:
   over F_16 and F_81;
 - `run_trials` tallies, with the support-duality check, on two configs;
 - `run_demo`'s stdout and return code, verbose and quiet, on the pass, the
-  decoder's refusal and a tamper that decodes to another word.
+  decoder's refusal and a tamper that decodes to another word;
+- every `DecodeOutcome` attribute at high order, ell in {1, 2, 8, 32} with
+  t <= ell, of `decode`, `mk_hamming_decode` and `_decode` with a support
+  step that returns the first t_hat identity rows, on Gabidulin codes over
+  F_16, F_81 and F_64: this reaches all five outcome kinds.
 
 A change meant to keep these results must leave every digest as it is.  A
 change that moves one must say why and write the new digest.  On a failure,
@@ -24,10 +28,10 @@ import io
 
 from conftest import gab_code
 
-from rankmk.decoder import decode, mk_hamming_decode
+from rankmk.decoder import _decode, decode, mk_hamming_decode
 from rankmk.demo import run_demo
 from rankmk.fields import ExtField
-from rankmk.matrix import MatQm, rank_q, rank_qm, right_kernel_qm
+from rankmk.matrix import MatQ, MatQm, rank_q, rank_qm, right_kernel_qm
 from rankmk.simulate import SimConfig, rand_matrix, run_trials, sample_error, trial_rng
 
 DIGESTS = {
@@ -35,6 +39,7 @@ DIGESTS = {
     "ranks": "7bcf095fe54b9ec92911b8b1b222a11de9ee7bf76bf2408338a2dbf4d3f8b957",
     "tallies": "e8754871f0e580f7e155b6ecd18480e4eff909ce8218a8fdb7533b4e838876f6",
     "demo": "11d2447b9f9e42a075208b5ce41e0576cec63d441c582a713af4fe586944a7cb",
+    "high_order": "aff43c10f2837d3c29e32a634f4378b7d3eb3582e6fe6633729c2ce1c814a2ad",
 }
 
 OUTCOME_ATTRS = ("success", "reason", "t_hat", "c_hat", "a_hat", "b_hat", "h_sub", "beyond_guarantee", "detail")
@@ -131,6 +136,33 @@ def _demo_records() -> list:
     return records
 
 
+def _identity_support(h_sub, t_hat):
+    """The first t_hat identity rows, whether or not they lie in ker(H_sub)."""
+    n = h_sub.cols
+    return MatQ(h_sub.ctx, [[int(j == i) for j in range(n)] for i in range(t_hat)], n)
+
+
+def _high_order_records() -> list:
+    rng = trial_rng(2401, 0)
+    codes = [gab_code(2, 4, 4, 1), gab_code(2, 4, 4, 2), gab_code(3, 4, 4, 1)]
+    codes += [gab_code(3, 4, 4, 2), gab_code(2, 6, 6, 2), gab_code(2, 6, 6, 3)]
+    records = []
+    for code in codes:
+        h, gen, d = code.h, code.gen, code.d
+        ctx, n, k = h.ctx, h.cols, gen.rows
+        for ell in (1, 2, 8, 32):
+            for t in range(min(ell, n - k) + 1):
+                for _ in range(3):
+                    word = rand_matrix(rng, ctx, ell, k) @ gen
+                    rank_err, _, _ = sample_error(rng, ctx, ell, n, t)
+                    for err in (rank_err, _burst(rng, ctx, ell, n, t)):
+                        received = word.add(err)
+                        records.append(_outcome(decode(h, received, d)))
+                        records.append(_outcome(mk_hamming_decode(h, received, d)))
+                        records.append(_outcome(_decode(h, received, d, _identity_support)))
+    return records
+
+
 def test_decode_outcomes_are_unchanged():
     assert _digest(_outcome_records()) == DIGESTS["outcomes"]
 
@@ -145,3 +177,7 @@ def test_run_trials_tallies_are_unchanged():
 
 def test_demo_output_is_unchanged():
     assert _digest(_demo_records()) == DIGESTS["demo"]
+
+
+def test_high_order_outcomes_are_unchanged():
+    assert _digest(_high_order_records()) == DIGESTS["high_order"]
