@@ -1,12 +1,13 @@
 """Syndrome decoding of high-order interleaved codes.
 
-Both decoders run one pipeline.  Echelonizing the syndrome S with the row
-transform P carried onto H gives P @ S = [R_top; 0] and P @ H = [T; H_sub].
-Each metric has one support step, (H_sub, t_hat) -> basis of B; it is the
-one place where the metrics differ.  It reads B off H_sub, so
-H_sub @ B^T = 0 and the erasure system reduces to the t_hat x t_hat system
-(T @ B^T) @ A^T = R_top.  A solution has rank t_hat, as R_top has, so A @ B
-has weight t_hat in either metric: H @ C_hat^T = 0 is the one check left.
+Both decoders run one pipeline.  The forward pass over the syndrome S, with
+the row transform P carried onto H, gives P @ S = [R_top; 0] and
+P @ H = [T; H_sub].  Each metric has one support step, (H_sub, t_hat) ->
+basis of B; it is the one place where the metrics differ.  It reads B off
+H_sub, so H_sub @ B^T = 0 and the erasure system reduces to the t_hat x t_hat
+system (T @ B^T) @ A^T = R_top.  A solution A has rank t_hat, as R_top has,
+so A @ B has weight t_hat in either metric.  The one check left is that
+premise, H_sub @ B^T = 0: after a solve it holds iff H @ C_hat^T = 0.
 
 `decode` is the rank-metric decoder: the support is the F_q-kernel of the
 coordinate-expanded trailing rows.  It is guaranteed to return the
@@ -29,7 +30,6 @@ from .errors import ParameterError, RankDeficientError
 from .matrix import (
     MatQ,
     MatQm,
-    _back_pass,
     _forward_carry,
     _result_type,
     rank_q,
@@ -45,7 +45,7 @@ class FailureReason(enum.Enum):
     codeword of weight <= t_hat < n - k, so it never occurs on an MRD code.
     A square erasure system of full rank always has a solution, so no
     reason is needed for an inconsistent one.  VERIFICATION_FAILED means
-    H @ C_hat^T != 0, the one check run on each success."""
+    H_sub @ B^T != 0 after a solve, so H @ C_hat^T != 0: a faulty support."""
 
     TOO_MANY_ERRORS = "too_many_errors"
     SUPPORT_DIMENSION_MISMATCH = "support_dimension_mismatch"
@@ -87,20 +87,19 @@ def syndrome(h: MatQm, received: MatQm) -> MatQm:
 
 
 def compute_hsub(h: MatQm, synd: MatQm) -> tuple[int, MatQm, MatQm, MatQm]:
-    """Echelonize the syndrome S, carrying the row operations P onto H, and
-    return (t_hat, H_sub, R_top, T): t_hat is the rank of S, P @ S is
-    [R_top; 0] and P @ H is [T; H_sub], with t_hat rows in R_top and T.
+    """Bring the syndrome S to row echelon form, carrying the row operations
+    P onto H, and return (t_hat, H_sub, R_top, T): t_hat is the rank of S,
+    P @ S is [R_top; 0] and P @ H is [T; H_sub], with t_hat rows in R_top
+    and T.  It raises TOO_MANY_ERRORS when t_hat >= n - k leaves no zero row.
 
-    This is `rref_carry(synd, h)` with each block sliced once from the
-    reduced rows.  The forward pass decides t_hat, so TOO_MANY_ERRORS
-    (t_hat >= n - k) is raised before the back pass runs; only a syndrome
-    that leaves a zero row is reduced."""
+    This is the forward pass of `rref_carry(synd, h)` alone: H_sub is the
+    same, and R_top and T are its RREF blocks times one invertible
+    t_hat x t_hat matrix, which leaves the erasure solve's answer as it is."""
     work, pivots = _forward_carry(synd, h)
     t_hat = len(pivots)
     if t_hat >= h.rows:
         raise DecodeFailure(FailureReason.TOO_MANY_ERRORS, f"syndrome rank {t_hat} leaves no zero rows")
     ctx, s, carried = h.ctx, synd.cols, _result_type(synd, h)
-    _back_pass(ctx, work, pivots)
     h_sub, top = (carried._wrap(ctx, [r[s:] for r in rows], h.cols) for rows in (work[t_hat:], work[:t_hat]))
     return t_hat, h_sub, type(synd)._wrap(ctx, [r[:s] for r in work[:t_hat]], s), top
 
@@ -121,10 +120,10 @@ def erasure_decode(top: MatQm, r_top: MatQm, basis: MatQ) -> MatQm:
     """A solving the square system (T @ B^T) @ A^T = R_top: T and R_top are
     the leading t rows of P @ H and P @ S (`compute_hsub`), B a support
     basis of t rows.  It is the paper's (H @ B^T) @ A^T = S times the
-    invertible P, whose trailing rows read 0 = 0 as H_sub @ B^T = 0; a basis
-    outside ker(H_sub) is caught only by the decoders' H @ C_hat^T = 0
-    check.  Raises DecodeFailure(RANK_DEFICIENT) if T @ B^T is singular and
-    FormatError if it is not square."""
+    invertible P, whose trailing rows read 0 = 0 as H_sub @ B^T = 0; the
+    decoders check that premise after the solve.  Raises
+    DecodeFailure(RANK_DEFICIENT) if T @ B^T is singular and FormatError if
+    it is not square."""
     try:
         return solve_right(top @ basis.transpose(), r_top)
     except RankDeficientError as exc:
@@ -147,8 +146,8 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
     """The pipeline shared by both metrics: syndrome, `compute_hsub`, the
     metric's support step `recover(h_sub, t_hat)`, which returns the support
     basis B or raises DecodeFailure, and the square erasure solve on the
-    leading rows.  Success requires H @ C_hat^T = 0.  A failed outcome keeps
-    the failure's detail text, naming the check that failed.
+    leading rows; then success requires H_sub @ B^T = 0 (H @ C_hat^T = 0).
+    A failed outcome keeps the failure's detail text, naming the check.
     """
     if h.cols != received.cols:
         raise ParameterError(
@@ -163,15 +162,15 @@ def _decode(h: MatQm, received: MatQm, d: int | None, recover) -> DecodeOutcome:
         # Recomputed even where compute_hsub found t_hat: rankbench times this
         # rank_qm, a forward pass, as the failure path's own stage
         # (rankbench/NOTES.md).
-        t_hat = rank_qm(synd)
-        beyond = d is not None and t_hat > d - 2
-        return DecodeOutcome(failure.reason, t_hat, beyond_guarantee=beyond, detail=str(failure))
+        reason, detail, t_hat = failure.reason, str(failure), rank_qm(synd)
+    else:
+        reason, detail = None, ""
+        if not (h_sub @ basis.transpose()).is_zero():
+            reason, detail = FailureReason.VERIFICATION_FAILED, "H @ C_hat^T != 0"
     beyond = d is not None and t_hat > d - 2
-    c_hat = received.sub(a_hat @ basis)
-    if not (h @ c_hat.transpose()).is_zero():
-        reason = FailureReason.VERIFICATION_FAILED
-        return DecodeOutcome(reason, t_hat, beyond_guarantee=beyond, detail="H @ C_hat^T != 0")
-    return DecodeOutcome(None, t_hat, c_hat, a_hat, basis, h_sub, beyond)
+    if reason is not None:
+        return DecodeOutcome(reason, t_hat, beyond_guarantee=beyond, detail=detail)
+    return DecodeOutcome(None, t_hat, received.sub(a_hat @ basis), a_hat, basis, h_sub, beyond)
 
 
 def decode(h: MatQm, received: MatQm, d: int | None = None) -> DecodeOutcome:

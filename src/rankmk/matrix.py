@@ -21,10 +21,10 @@ forward pass's operations, so the reduced and carried blocks are those of
 one-loop Gauss-Jordan.  Callers stop as early as their answer allows:
 `rank_qm` runs the forward pass alone, along the shorter side of the
 matrix (rank(M) = rank(M^T)), `solve_right` raises on a singular system
-before the back pass, and `decoder.compute_hsub` raises TOO_MANY_ERRORS
-after `_forward_carry` and runs `_back_pass` itself.  `rref`, `rref_carry`
-and `right_kernel_qm` run both passes; `rref_carry` is the public, tested
-form of the carried elimination.
+before the back pass, and `decoder.compute_hsub` runs `_forward_carry`
+alone, as the decoder needs echelon rows, not the RREF.  `rref`,
+`rref_carry` and `right_kernel_qm` run both passes; `rref_carry` is the
+public, tested form of the carried elimination.
 
 `rank_q` and `right_kernel_q` take any matrix and read its F_q view
 themselves: a `MatQ` is its own, an F_{q^m} matrix has `ext_expand`.  For

@@ -202,16 +202,16 @@ def count_matrices_rank(n: int, m: int, t: int, q: int) -> int:
     return out.numerator
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.  It reaches 0 at 0
-    successes and 1 at `trials` successes exactly; those ends are returned as
-    such, not as the float sums, which can miss them by an ulp."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """99 % Wilson score interval (z = Z99) for a binomial proportion.  It
+    reaches 0 at 0 successes and 1 at `trials` successes exactly; those ends
+    are returned as such, not as the float sums, which can miss them by an ulp."""
     if trials <= 0:
         raise ParameterError("wilson_interval needs at least one trial")
     p = successes / trials
-    denom = 1 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * ((p * (1 - p) / trials + z * z / (4 * trials * trials)) ** 0.5) / denom
+    denom = 1 + Z99 * Z99 / trials
+    center = (p + Z99 * Z99 / (2 * trials)) / denom
+    half = Z99 * ((p * (1 - p) / trials + Z99 * Z99 / (4 * trials * trials)) ** 0.5) / denom
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high

@@ -6,7 +6,7 @@ import itertools
 
 from rankmk.codes import GabidulinSpec, LinearCodeSpec, parity_check_from_generator, resolve_code
 from rankmk.fields import ExtField
-from rankmk.matrix import MatQ, MatQm, rank_q, rref
+from rankmk.matrix import MatQ, MatQm, _forward_carry, rank_q, rref, rref_carry
 from rankmk.simulate import rand_matrix, sample_error, trial_rng
 
 # One field per arithmetic regime: tabled q = 2 (F_16, F_256), tabled with
@@ -26,6 +26,18 @@ REGIME_FIELDS = {
 def block(mat: MatQm, r0: int, r1: int, c0: int, c1: int) -> MatQm:
     """Rows r0:r1 and columns c0:c1 of mat (half-open, like slices), same type."""
     return type(mat)(mat.ctx, [r[c0:c1] for r in mat.data[r0:r1]], c1 - c0)
+
+
+def check_echelon_blocks(h: MatQm, synd: MatQm, r_top: MatQm, top: MatQm) -> None:
+    """`compute_hsub`'s R_top and T are the leading rows of the forward pass
+    over [S | H], and reducing [R_top | T] gives the leading blocks and the
+    pivots of `rref_carry(S, H)`."""
+    work, pivots = _forward_carry(synd, h)
+    t, s = len(pivots), synd.cols
+    assert r_top == MatQm(h.ctx, [r[:s] for r in work[:t]], s)
+    assert top == MatQm(h.ctx, [r[s:] for r in work[:t]], h.cols)
+    reduced, carried, full_pivots = rref_carry(synd, h)
+    assert rref_carry(r_top, top) == (block(reduced, 0, t, 0, s), block(carried, 0, t, 0, h.cols), full_pivots)
 
 
 def full_rank_vandermonde(ctx: ExtField, n: int) -> MatQm:

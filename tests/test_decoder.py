@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     all_rref_bases,
     block,
+    check_echelon_blocks,
     count_row_subtractions,
     full_rank_vandermonde,
     gab_code,
@@ -34,6 +35,7 @@ from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
     MatQm,
+    _forward_carry,
     ext_expand,
     rank_q,
     rank_qm,
@@ -91,8 +93,9 @@ def test_compute_hsub_worked_example(worked):
     t_hat, h_sub, r_top, top = compute_hsub(worked["H"], worked["S"])
     reduced, carried, _ = rref_carry(worked["S"], worked["H"])
     assert t_hat == 2 and h_sub.rows == 1 and reduced == rref(worked["S"])[0]
-    assert r_top == block(reduced, 0, 2, 0, 2) and block(reduced, 2, 3, 0, 2).is_zero()
-    assert (h_sub, top) == (block(carried, 2, 3, 0, 5), block(carried, 0, 2, 0, 5))
+    assert block(reduced, 2, 3, 0, 2).is_zero()
+    assert h_sub == block(carried, 2, 3, 0, 5)
+    check_echelon_blocks(worked["H"], worked["S"], r_top, top)
     # the echelonizing transform is unique only up to scaling here
     assert rref(h_sub)[0] == rref(worked["H_sub"])[0]
 
@@ -233,19 +236,30 @@ def test_decode_too_many_errors():
     assert out.t_hat == 3 and out.beyond_guarantee
 
 
-def test_too_many_errors_is_raised_before_the_back_pass(monkeypatch):
-    # A full-rank 3 x 3 syndrome leaves no zero row of P @ S when n - k = 3:
-    # the forward pass decides that with at most 3 row subtractions.
+def test_compute_hsub_runs_the_forward_pass_alone(monkeypatch):
+    # With n - k = 3, a full-rank 3 x 3 syndrome leaves no zero row of P @ S,
+    # and one of rank 2 does.  On both, compute_hsub makes exactly the row
+    # subtractions of the forward pass, which the full reduction exceeds.
     code = gab_code(2, 4, 4, 1)
-    synd = full_rank_vandermonde(code.ctx, 3)
+    ctx = code.ctx
+    full = full_rank_vandermonde(ctx, 3)
+    deficient = MatQm(ctx, full.data[:2] + [[ctx.add(a, b) for a, b in zip(*full.data[:2])]], 3)
     calls = count_row_subtractions(monkeypatch)
-    rref_carry(synd, code.h)
-    assert calls[0] > 3  # the full reduction also clears above the pivots
-    calls[0] = 0
-    with pytest.raises(DecodeFailure) as exc:
-        compute_hsub(code.h, synd)
-    assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
-    assert calls[0] <= 3
+    for synd in (full, deficient):
+        calls[0] = 0
+        _, pivots = _forward_carry(synd, code.h)
+        forward = calls[0]
+        calls[0] = 0
+        rref_carry(synd, code.h)
+        assert calls[0] > forward
+        calls[0] = 0
+        if len(pivots) == 3:
+            with pytest.raises(DecodeFailure) as exc:
+                compute_hsub(code.h, synd)
+            assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
+        else:
+            assert compute_hsub(code.h, synd)[0] == len(pivots) == 2
+        assert calls[0] == forward
 
 
 def test_failure_detail_is_kept():
@@ -256,8 +270,9 @@ def test_failure_detail_is_kept():
     word, _, received = planted_word(code, 3, 2, 5)
     out = decode(code.h, received, code.d)
     assert out.success and out.detail == ""
-    # A support outside ker(H_sub) passes the square erasure solve but leaves
-    # H @ C_hat^T nonzero: the parity check must catch it and say so.
+    # A support outside ker(H_sub) passes the square erasure solve but breaks
+    # the premise H_sub @ B^T = 0, so H @ C_hat^T != 0: the check must catch
+    # it and say so.
     wrong = MatQ(code.ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
 
     def off_kernel(h_sub, t_hat):

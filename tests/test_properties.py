@@ -11,13 +11,14 @@ seeds, so every run checks the same examples.
 """
 
 import copy
+from collections import Counter
 from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REGIME_FIELDS, block, gab_code, is_rref, planted_word
+from conftest import REGIME_FIELDS, block, check_echelon_blocks, gab_code, is_rref, planted_word
 from rankmk.codes import (
     LinearCodeSpec,
     code_spec_from_text,
@@ -29,16 +30,20 @@ from rankmk.codes import (
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
+    _decode,
     beyond_d2_condition,
     compute_hsub,
     decode,
+    erasure_decode,
     mk_hamming_decode,
+    syndrome,
 )
 from rankmk.errors import FormatError, ParameterError, RankDeficientError
 from rankmk.fields import ExtField
 from rankmk.matrix import (
     MatQ,
     MatQm,
+    _forward_carry,
     ext_expand,
     mat_from_text,
     rank_q,
@@ -49,7 +54,7 @@ from rankmk.matrix import (
     right_kernel_qm,
     solve_right,
 )
-from rankmk.simulate import lo_condition_check, rand_matrix, sample_error, trial_rng
+from rankmk.simulate import lo_condition_check, rand_matrix, sample_error, sample_full_rank, trial_rng
 from test_decoder import _condition_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -135,8 +140,9 @@ def decoding_instances(draw):
 @settings(PROPERTY, max_examples=300)
 @given(decoding_instances())
 def test_success_has_the_syndrome_rank_as_weight(case):
-    # The decoders check only H @ C_hat^T = 0 at run time; the weight of the
-    # removed error equals t_hat by the algebra, and this property holds it.
+    # The decoders check only H_sub @ B^T = 0 at run time; H @ C_hat^T = 0
+    # and a removed error of weight t_hat follow by the algebra, and this
+    # property holds both.
     h, received, gabidulin = case
     for dec, weight in ((decode, rank_q), (mk_hamming_decode, _burst_weight)):
         out = dec(h, received)
@@ -219,6 +225,41 @@ def test_high_order_interleaving_keeps_the_guarantee(name, factor):
             for dec in (decode, mk_hamming_decode):
                 out = dec(code.h, received, code.d)
                 assert not out.success or _annihilated(code.h, out.c_hat), (weight, seed, dec)
+
+
+@pytest.mark.parametrize("name", HIGH_ORDER_CODES)
+def test_premise_check_is_the_parity_check(name):
+    # Once the erasure solve succeeds, H_sub @ B^T = 0 holds exactly when
+    # H @ C_hat^T = 0.  Injected supports, every other one drawn inside
+    # ker(H_sub) where that kernel is large enough and the rest drawn freely,
+    # hold _decode's check to the parity check of the word the solve gives.
+    code = HIGH_ORDER_CODES[name]
+    h, ctx, n = code.h, code.ctx, code.n
+    rng = trial_rng(2403, 0)
+    seen = Counter()
+    for t in range(1, n - code.k):
+        for ell in sorted({1, t, 4 * t}):
+            for i in range(8):
+                word = rand_matrix(rng, ctx, ell, code.k) @ code.gen
+                received = word.add(sample_error(rng, ctx, ell, n, t, mode="uniform")[0])
+                t_hat, h_sub, r_top, top = compute_hsub(h, syndrome(h, received))
+                kernel = right_kernel_q(h_sub)
+                if i % 2 == 0 and kernel.rows >= t_hat:
+                    basis = sample_full_rank(rng, ctx, t_hat, kernel.rows, t_hat, subfield=True) @ kernel
+                else:
+                    basis = sample_full_rank(rng, ctx, t_hat, n, t_hat, subfield=True)
+                out = _decode(h, received, code.d, lambda h_sub, t_hat: basis)
+                try:
+                    a_hat = erasure_decode(top, r_top, basis)
+                except DecodeFailure:
+                    assert out.reason is FailureReason.RANK_DEFICIENT
+                    continue
+                c_hat = received.sub(a_hat @ basis)
+                parity = _annihilated(h, c_hat)
+                assert (out.reason is FailureReason.VERIFICATION_FAILED) is not parity, (t, ell, i)
+                assert not parity or (out.success and out.c_hat == c_hat)
+                seen[parity] += 1
+    assert seen[True] and seen[False], seen
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 3)])
@@ -392,9 +433,11 @@ def test_carried_rows_are_the_transform_applied(case):
     t_hat, h_sub, r_top, top = compute_hsub(h, synd)
     assert t_hat == len(pivots) == rank_qm(synd)
     assert h_sub == block(trans, t_hat, h.rows, 0, h.rows) @ h
-    assert r_top == block(reduced, 0, t_hat, 0, synd.cols)
     assert block(reduced, t_hat, h.rows, 0, synd.cols).is_zero()
-    assert top == block(carried, 0, t_hat, 0, h.cols)
+    check_echelon_blocks(h, synd, r_top, top)
+    work, _ = _forward_carry(synd, MatQm.identity(synd.ctx, synd.rows))
+    lead = MatQm(synd.ctx, [r[synd.cols :] for r in work[:t_hat]], synd.rows)
+    assert (lead @ synd, lead @ h) == (r_top, top)
 
 
 CONDITION_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
@@ -630,12 +673,9 @@ def test_two_passes_match_gauss_jordan(case):
             compute_hsub(other, mat)
         assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
     else:
-        assert compute_hsub(other, mat) == (
-            rank,
-            block(carried, rank, rows, 0, other.cols),
-            block(reduced, 0, rank, 0, cols),
-            block(carried, 0, rank, 0, other.cols),
-        )
+        t_hat, h_sub, r_top, top = compute_hsub(other, mat)
+        assert (t_hat, h_sub) == (rank, block(carried, rank, rows, 0, other.cols))
+        check_echelon_blocks(other, mat, r_top, top)
 
 
 # -- the input parsers ----------------------------------------------------------------
