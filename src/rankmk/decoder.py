@@ -2,12 +2,12 @@
 
 Both decoders run one pipeline.  The forward pass over the syndrome S, with
 the row transform P carried onto H, gives P @ S = [R_top; 0] and
-P @ H = [T; H_sub].  Each metric has one support step, (H_sub, t_hat) ->
-basis of B; it is the one place where the metrics differ.  It reads B off
-H_sub, so H_sub @ B^T = 0 and the erasure system reduces to the t_hat x t_hat
-system (T @ B^T) @ A^T = R_top.  A solution A has rank t_hat, as R_top has,
-so A @ B has weight t_hat in either metric.  The one check left is that
-premise, H_sub @ B^T = 0: after a solve it holds iff H @ C_hat^T = 0.
+P @ H = [T; H_sub].  Each metric's support step, (H_sub, t_hat) -> basis of
+B, is the one place where they differ.  It reads B off H_sub, so
+H_sub @ B^T = 0 and the erasure system reduces to the t_hat x t_hat system
+(T @ B^T) @ A^T = R_top.  A solution A has rank t_hat, as R_top has, so A @ B
+has weight t_hat in either metric.  The one check left is that premise: after
+a solve, H_sub @ B^T = 0 iff H @ C_hat^T = 0, as P and T @ B^T are invertible.
 
 `decode` is the rank-metric decoder: the support is the F_q-kernel of the
 coordinate-expanded trailing rows.  It is guaranteed to return the
