@@ -3,9 +3,9 @@
 Every pipeline stage (syndrome, its echelon form, the trailing transformed
 parity-check rows, their coordinate expansion, the support basis, the
 coefficient matrix, and the decoded codeword) ships with its expected value,
-so a run doubles as an end-to-end self-check.  Field elements are stored
-as powers of alpha for the primitive polynomial x^5 + x^2 + 1, and the 0/1
-matrices as element codes.
+so a run doubles as an end-to-end self-check; the test suite reads the same
+values through `_example`.  Field elements are stored as powers of alpha for
+the primitive polynomial x^5 + x^2 + 1, and the 0/1 matrices as element codes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from .decoder import decode, syndrome
 from .errors import ParameterError
 from .fields import ExtField
-from .matrix import MatQm, ext_expand, rref
+from .matrix import MatQ, MatQm, ext_expand, rref
 
 FIELD_SPEC = "q=2 m=5 f=1,0,1,0,0,1"
 
@@ -23,7 +23,7 @@ _H = [[0, None, None, 17, 4], [None, 0, None, 7, 13], [None, None, 0, 16, 28]]
 _R = [[27, 1, 4, 21, 6], [2, 2, 26, 22, 7]]
 
 # The stages in print order: name, whether the expected value is given as
-# alpha exponents (else as element codes), and the expected value.  The
+# alpha exponents (else as F_q element codes), and the expected value.  The
 # first two need only the syndrome, the rest a successful decode.
 _STAGES = (
     ("S", True, [[12, 12], [30, 0], [30, 17]]),
@@ -44,6 +44,12 @@ def _alpha_mat(ctx: ExtField, rows) -> MatQm:
     return MatQm(ctx, [[0 if e is None else ctx.alpha_pow(e) for e in r] for r in rows])
 
 
+def _example(ctx: ExtField) -> dict[str, MatQm]:
+    """H, R and each stage's expected value, by stage name."""
+    stages = {name: _alpha_mat(ctx, rows) if exp else MatQ(ctx, rows) for name, exp, rows in _STAGES}
+    return {"H": _alpha_mat(ctx, _H), "R": _alpha_mat(ctx, _R), **stages}
+
+
 def _show(mat: MatQm) -> str:
     return "\n".join("  " + " ".join(f"{a:>4d}" for a in row) for row in mat.data) or "  (empty)"
 
@@ -57,7 +63,8 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None) ->
     position outside R raises ParameterError.
     """
     ctx = ExtField.from_spec(FIELD_SPEC)
-    h, received = _alpha_mat(ctx, _H), _alpha_mat(ctx, _R)
+    example = _example(ctx)
+    h, received = example["H"], example["R"]
     if tamper is not None:
         i, j, delta = tamper
         if not (0 <= i < received.rows and 0 <= j < received.cols):
@@ -81,8 +88,8 @@ def run_demo(quiet: bool = False, tamper: tuple[int, int, int] | None = None) ->
             print(f"decoder refused: {outcome.reason.value}")
         print("FAIL at stage verification")
         return 1
-    for (name, exponents, rows), mat in zip(_STAGES, found):
-        expected = _alpha_mat(ctx, rows) if exponents else MatQm(ctx, rows)
+    for (name, _, _), mat in zip(_STAGES, found):
+        expected = example[name]
         if name in _BY_ROW_SPACE:
             mat, expected = rref(mat)[0], rref(expected)[0]
         if mat != expected:

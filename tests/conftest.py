@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from rankmk.codes import GabidulinSpec, LinearCodeSpec, parity_check_from_generator, resolve_code
+from rankmk.demo import _alpha_mat, _example
 from rankmk.fields import ExtField
-from rankmk.matrix import MatQ, MatQm, _forward_carry, rank_q, rref, rref_carry
-from rankmk.simulate import rand_matrix, sample_error, trial_rng
+from rankmk.matrix import MatQ, MatQm, _forward_carry, rank_q, rank_qm, rref, rref_carry, right_kernel_qm
+from rankmk.simulate import rand_matrix, sample_error, sample_full_rank, trial_rng
 
 # One field per arithmetic regime: tabled q = 2 (F_16, F_256), tabled with
 # Zech tables (F_81, F_25, and F_7 with m = 1), and untabled: irreducible
@@ -21,6 +24,27 @@ REGIME_FIELDS = {
     "F9-untabled": (3, 2, (1, 0, 1)),
     "F16-untabled": (2, 4, (1, 1, 1, 1, 1)),
 }
+
+
+# A matrix from rows of alpha exponents, None for the zero element.
+alpha_mat = _alpha_mat
+
+
+@pytest.fixture(scope="module")
+def f32():
+    return ExtField(2, 5)
+
+
+@pytest.fixture(scope="module")
+def f8():
+    return ExtField(2, 3)
+
+
+@pytest.fixture(scope="module")
+def worked(f32):
+    """The [5, 2] worked example of `rankmk demo`: H, R and each stage's
+    expected value ("S", "rref(S)", "H_sub", "ext(H_sub)", "B", "A", "C")."""
+    return _example(f32)
 
 
 def block(mat: MatQm, r0: int, r1: int, c0: int, c1: int) -> MatQm:
@@ -110,6 +134,37 @@ def all_rref_bases(ctx: ExtField, t: int, n: int):
             seen.add(key)
             out.append(canon)
     return out
+
+
+def f8_code(rng) -> tuple[MatQm, MatQm]:
+    """(H, generator) of a [4, 1] code over F_8 whose 3 x 4 H is drawn from
+    rng until it has full rank.  As n > m, d <= m < n - k + 1: the code is
+    not MRD, so nothing rules RANK_DEFICIENT out on it."""
+    ctx = ExtField(2, 3)
+    h = rand_matrix(rng, ctx, 3, 4)
+    while rank_qm(h) < 3:
+        h = rand_matrix(rng, ctx, 3, 4)
+    return h, right_kernel_qm(h)
+
+
+def column_burst(rng, ctx: ExtField, ell: int, n: int, t: int) -> MatQm:
+    """An ell x n error whose nonzero columns lie in t seeded positions."""
+    positions = set()
+    while len(positions) < t:
+        positions.add(rng.below(n))
+    data = [[rng.below(ctx.order) if j in positions else 0 for j in range(n)] for _ in range(ell)]
+    return MatQm(ctx, data, n)
+
+
+def rank_deficient_error(rng, ctx: ExtField, n: int) -> MatQm:
+    """A 2 x n error A @ B of rank weight 2 that breaks the full-rank
+    condition: B is a seeded 2 x n basis over F_q, and A is redrawn until
+    rank_q(A) = 2 and rank_qm(A) < 2."""
+    basis = sample_full_rank(rng, ctx, 2, n, 2, subfield=True)
+    coeff = rand_matrix(rng, ctx, 2, 2)
+    while not (rank_q(coeff) == 2 and rank_qm(coeff) < 2):
+        coeff = rand_matrix(rng, ctx, 2, 2)
+    return coeff @ MatQm(ctx, basis.data, basis.cols)
 
 
 def planted_word(code: LinearCodeSpec, ell: int, t: int, seed: int, mode: str = "fullrank"):

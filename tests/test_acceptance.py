@@ -9,18 +9,10 @@ import time
 
 import pytest
 
-from conftest import all_rref_bases, gab_code
+from conftest import all_rref_bases, gab_code, rank_deficient_error
 from rankmk.decoder import compute_hsub, decode, mk_hamming_decode, recover_support, syndrome
 from rankmk.fields import ExtField
-from rankmk.matrix import (
-    MatQ,
-    MatQm,
-    ext_expand,
-    rank_q,
-    rank_qm,
-    right_kernel_qm,
-    rref,
-)
+from rankmk.matrix import MatQ, MatQm, ext_expand, right_kernel_qm, rref
 from rankmk.simulate import (
     SimConfig,
     count_matrices_rank,
@@ -43,38 +35,21 @@ def report(criterion, ok, desc, elapsed=None):
     assert ok, f"criterion {criterion}: {desc}"
 
 
-def alpha_mat(ctx, rows):
-    return MatQm(ctx, [[0 if e is None else ctx.alpha_pow(e) for e in r] for r in rows])
-
-
 # -- shared heavy fixtures (consumed again by criterion 6) -------------------------
 
 
 @pytest.fixture(scope="module")
-def golden():
-    """Criterion 1 pipeline values from the embedded fixtures."""
-    ctx = ExtField(2, 5)
-    h = alpha_mat(ctx, [[0, None, None, 17, 4], [None, 0, None, 7, 13], [None, None, 0, 16, 28]])
-    received = alpha_mat(ctx, [[27, 1, 4, 21, 6], [2, 2, 26, 22, 7]])
+def golden(worked):
+    """Criterion 1 pipeline values on the worked example of `rankmk demo`."""
+    h = worked["H"]
     start = time.perf_counter()
-    synd = syndrome(h, received)
+    synd = syndrome(h, worked["R"])
     reduced = rref(synd)[0]
     t_hat, h_sub, _, _ = compute_hsub(h, synd)
     basis = recover_support(h_sub, t_hat)
-    outcome = decode(h, received, d=4)
+    outcome = decode(h, worked["R"], d=4)
     elapsed = time.perf_counter() - start
-    expected = {
-        "S": alpha_mat(ctx, [[12, 12], [30, 0], [30, 17]]),
-        "rref_S": MatQm(ctx, [[1, 0], [0, 1], [0, 0]]),
-        "H_sub": alpha_mat(ctx, [[0, 14, 0, 4, 8]]),
-        "B": MatQ(ctx, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]]),
-        "A": alpha_mat(ctx, [[3, 1], [1, 2]]),
-        "C": alpha_mat(ctx, [[18, None, 21, 9, 3], [19, None, 22, 10, 4]]),
-    }
-    return dict(
-        ctx=ctx, h=h, synd=synd, reduced=reduced, h_sub=h_sub, basis=basis, outcome=outcome,
-        expected=expected, elapsed=elapsed,
-    )
+    return dict(synd=synd, reduced=reduced, h_sub=h_sub, basis=basis, outcome=outcome, elapsed=elapsed)
 
 
 @pytest.fixture(scope="module")
@@ -123,16 +98,16 @@ def high_rate_report():
 # -- criteria -------------------------------------------------------------------
 
 
-def test_criterion_1_golden_example(golden):
+def test_criterion_1_golden_example(golden, worked):
     g = golden
     ok = (
-        g["synd"] == g["expected"]["S"]
-        and g["reduced"] == g["expected"]["rref_S"]
-        and rref(g["h_sub"])[0] == rref(g["expected"]["H_sub"])[0]
-        and g["basis"] == g["expected"]["B"]
+        g["synd"] == worked["S"]
+        and g["reduced"] == worked["rref(S)"]
+        and rref(g["h_sub"])[0] == rref(worked["H_sub"])[0]
+        and g["basis"] == worked["B"]
         and g["outcome"].success
-        and g["outcome"].a_hat == g["expected"]["A"]
-        and g["outcome"].c_hat == g["expected"]["C"]
+        and g["outcome"].a_hat == worked["A"]
+        and g["outcome"].c_hat == worked["C"]
         and g["elapsed"] < 1.0
     )
     report(1, ok, "golden worked example reproduced bit-exactly", g["elapsed"])
@@ -285,11 +260,7 @@ def test_criterion_9_failure_honesty():
             rng = trial_rng(MASTER_SEED + 2, decided + i)
             msg = rand_matrix(rng, ctx, 2, k)
             word = msg @ code.gen
-            basis = sample_full_rank(rng, ctx, 2, n, 2, subfield=True)
-            coeff = rand_matrix(rng, ctx, 2, 2)
-            while not (rank_q(coeff) == 2 and rank_qm(coeff) < 2):
-                coeff = rand_matrix(rng, ctx, 2, 2)
-            err = coeff @ MatQm(ctx, basis.data, basis.cols)
+            err = rank_deficient_error(rng, ctx, n)
             outcome = decode(code.h, word.add(err), code.d)
             if outcome.success and outcome.c_hat != word:
                 wrong_successes += 1

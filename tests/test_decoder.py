@@ -14,6 +14,7 @@ from conftest import (
     gab_code,
     is_rref,
     planted_word,
+    rank_deficient_error,
     twist,
     twisted_gabidulin,
 )
@@ -37,35 +38,12 @@ from rankmk.matrix import (
     MatQm,
     _forward_carry,
     ext_expand,
-    rank_q,
     rank_qm,
     rref,
     rref_carry,
     right_kernel_qm,
 )
 from rankmk.simulate import SplitMix64, rand_matrix, sample_error, sample_full_rank, trial_rng
-
-
-@pytest.fixture(scope="module")
-def f32():
-    return ExtField(2, 5)
-
-
-def alpha_mat(ctx, rows):
-    return MatQm(ctx, [[0 if e is None else ctx.alpha_pow(e) for e in r] for r in rows])
-
-
-@pytest.fixture(scope="module")
-def worked(f32):
-    return {
-        "H": alpha_mat(f32, [[0, None, None, 17, 4], [None, 0, None, 7, 13], [None, None, 0, 16, 28]]),
-        "R": alpha_mat(f32, [[27, 1, 4, 21, 6], [2, 2, 26, 22, 7]]),
-        "C": alpha_mat(f32, [[18, None, 21, 9, 3], [19, None, 22, 10, 4]]),
-        "S": alpha_mat(f32, [[12, 12], [30, 0], [30, 17]]),
-        "H_sub": alpha_mat(f32, [[0, 14, 0, 4, 8]]),
-        "B": MatQ(f32, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]]),
-        "A": alpha_mat(f32, [[3, 1], [1, 2]]),
-    }
 
 
 # -- syndrome ----------------------------------------------------------------
@@ -293,11 +271,7 @@ def test_decode_rank_deficient_error_never_miscorrects():
     for i in range(200):
         msg = rand_matrix(rng, ctx, 2, 1)
         word = msg @ code.gen
-        basis = sample_full_rank(rng, ctx, 2, 4, 2, subfield=True)
-        coeff = rand_matrix(rng, ctx, 2, 2)
-        while not (rank_q(coeff) == 2 and rank_qm(coeff) < 2):
-            coeff = rand_matrix(rng, ctx, 2, 2)
-        err = coeff @ MatQm(ctx, basis.data, basis.cols)
+        err = rank_deficient_error(rng, ctx, 4)
         out = decode(code.h, word.add(err), code.d)
         if out.success:
             assert out.c_hat == word

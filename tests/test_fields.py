@@ -40,16 +40,6 @@ def naive_mul(ctx, a, b):
     return sum(d * q**i for i, d in enumerate(prod[:m]))
 
 
-@pytest.fixture(scope="module")
-def f32():
-    return ExtField(2, 5)
-
-
-@pytest.fixture(scope="module")
-def f8():
-    return ExtField(2, 3)
-
-
 def test_worked_example_reduction(f32):
     # alpha^5 = alpha^2 + 1 under x^5 + x^2 + 1
     a4 = f32.pow(f32.alpha, 4)

@@ -26,12 +26,12 @@ import contextlib
 import hashlib
 import io
 
-from conftest import gab_code
+from conftest import column_burst, f8_code, gab_code
 
 from rankmk.decoder import _decode, decode, mk_hamming_decode
 from rankmk.demo import run_demo
 from rankmk.fields import ExtField
-from rankmk.matrix import MatQ, MatQm, rank_q, rank_qm, right_kernel_qm
+from rankmk.matrix import MatQ, rank_q, rank_qm
 from rankmk.simulate import SimConfig, rand_matrix, run_trials, sample_error, trial_rng
 
 DIGESTS = {
@@ -61,29 +61,10 @@ def _outcome(out) -> tuple:
     return tuple(values.items())
 
 
-def _generic_code(rng):
-    """(H, generator, d=None) of a seeded [4, 1] code over F_{2^3}: not MRD,
-    so both decoders also reach RANK_DEFICIENT."""
-    ctx = ExtField(2, 3)
-    h = rand_matrix(rng, ctx, 3, 4)
-    while rank_qm(h) < 3:
-        h = rand_matrix(rng, ctx, 3, 4)
-    return h, right_kernel_qm(h), None
-
-
-def _burst(rng, ctx, ell: int, n: int, t: int) -> MatQm:
-    """An ell x n error whose nonzero columns lie in t seeded positions."""
-    positions = set()
-    while len(positions) < t:
-        positions.add(rng.below(n))
-    data = [[rng.below(ctx.order) if j in positions else 0 for j in range(n)] for _ in range(ell)]
-    return MatQm(ctx, data, n)
-
-
 def _outcome_records() -> list:
     rng = trial_rng(2301, 0)
     codes = [(c.h, c.gen, c.d) for c in (gab_code(2, 4, 4, 1), gab_code(3, 4, 4, 1), gab_code(2, 5, 5, 2))]
-    codes.append(_generic_code(rng))
+    codes.append((*f8_code(rng), None))  # not MRD: both decoders reach RANK_DEFICIENT
     records = []
     for h, gen, d in codes:
         ctx, n, k = h.ctx, h.cols, gen.rows
@@ -92,7 +73,7 @@ def _outcome_records() -> list:
                 for _ in range(3):
                     word = rand_matrix(rng, ctx, ell, k) @ gen
                     rank_err, _, _ = sample_error(rng, ctx, ell, n, t)
-                    for err in (rank_err, _burst(rng, ctx, ell, n, t)):
+                    for err in (rank_err, column_burst(rng, ctx, ell, n, t)):
                         received = word.add(err)
                         records.append(_outcome(decode(h, received, d)))
                         records.append(_outcome(mk_hamming_decode(h, received, d)))
@@ -155,7 +136,7 @@ def _high_order_records() -> list:
                 for _ in range(3):
                     word = rand_matrix(rng, ctx, ell, k) @ gen
                     rank_err, _, _ = sample_error(rng, ctx, ell, n, t)
-                    for err in (rank_err, _burst(rng, ctx, ell, n, t)):
+                    for err in (rank_err, column_burst(rng, ctx, ell, n, t)):
                         received = word.add(err)
                         records.append(_outcome(decode(h, received, d)))
                         records.append(_outcome(mk_hamming_decode(h, received, d)))

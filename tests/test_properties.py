@@ -18,7 +18,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REGIME_FIELDS, block, check_echelon_blocks, gab_code, is_rref, planted_word
+from conftest import (
+    REGIME_FIELDS,
+    block,
+    check_echelon_blocks,
+    column_burst,
+    f8_code,
+    gab_code,
+    is_rref,
+    planted_word,
+)
 from rankmk.codes import (
     LinearCodeSpec,
     code_spec_from_text,
@@ -301,11 +310,7 @@ def _oracle_code(name: str, rng) -> tuple[MatQm, MatQm]:
     if name.startswith("gab"):
         code = gab_code(*ORACLE_GABIDULIN[name], 1)
         return code.h, code.gen
-    ctx = ExtField(2, 3)
-    h = rand_matrix(rng, ctx, 3, 4)
-    while rank_qm(h) < 3:
-        h = rand_matrix(rng, ctx, 3, 4)
-    return h, right_kernel_qm(h)
+    return f8_code(rng)
 
 
 def _check_unique_nearest(name: str, seed: int, decoder, distance, bursts: bool) -> None:
@@ -323,10 +328,7 @@ def _check_unique_nearest(name: str, seed: int, decoder, distance, bursts: bool)
         word = rand_matrix(rng, ctx, 2, 1) @ gen
         t = 1 + i % (n - 1)
         if bursts and i % 2:
-            positions = set()
-            while len(positions) < t:
-                positions.add(rng.below(n))
-            err = MatQm(ctx, [[rng.below(ctx.order) if j in positions else 0 for j in range(n)] for _ in range(2)])
+            err = column_burst(rng, ctx, 2, n, t)
         else:
             err, _, _ = sample_error(rng, ctx, 2, n, t)
         received = word.add(err)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gab_code, planted_word
+from conftest import alpha_mat, gab_code, planted_word
 from rankmk.codes import GabidulinSpec, LinearCodeSpec
 from rankmk import simulate
 from rankmk.decoder import DecodeOutcome, FailureReason, decode
@@ -199,13 +199,10 @@ def test_sample_error_fullrank_frequency_meets_bound():
     assert hits / n_draws >= bound - 3 * sigma
 
 
-def test_worked_example_error_factors():
-    ctx = ExtField(2, 5)
-    ap = ctx.alpha_pow
-    err = MatQm(ctx, [[ap(3), ap(1), ap(3), ap(1), ap(1)], [ap(1), ap(2), ap(1), ap(2), ap(2)]])
-    a = MatQm(ctx, [[ap(3), ap(1)], [ap(1), ap(2)]])
-    b = MatQ(ctx, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]])
-    assert a @ MatQm(ctx, b.data, b.cols) == err
+def test_worked_example_error_factors(f32, worked):
+    err = alpha_mat(f32, [[3, 1, 3, 1, 1], [1, 2, 1, 2, 2]])
+    a, b = worked["A"], worked["B"]
+    assert a @ MatQm(f32, b.data, b.cols) == err
     assert rank_q(err) == rank_qm(err) == 2
 
 
