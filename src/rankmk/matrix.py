@@ -83,8 +83,7 @@ class MatQm:
 
     @staticmethod
     def _check_entry(ctx: ExtField, a: int) -> None:
-        if type(a) is not int or a < 0 or a >= ctx.order:
-            raise FormatError(f"entry {a!r} out of range [0, {ctx.order})")
+        ctx.check(a)
 
     # -- constructors -----------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -71,18 +72,31 @@ def full_rank_vandermonde(ctx: ExtField, n: int) -> MatQm:
     return MatQm(ctx, [[ctx.alpha_pow(i * j) for j in range(n)] for i in range(1, n + 1)])
 
 
-def count_row_subtractions(monkeypatch) -> list[int]:
-    """Count `ExtField._sub_scaled_row` calls from here on: the one-item list
-    returned holds the count, and tests may reset it."""
-    calls = [0]
-    inner = ExtField._sub_scaled_row
+def count_work(monkeypatch) -> Counter:
+    """Count, from here on, the work of the three `ExtField` row kernels,
+    which do all elimination and products: "entries" adds the row length of
+    each `_scale_row` and `_sub_scaled_row` call, and "terms" the dense
+    product terms rows x inner x cols of each `_mul_rows` call, zeros the
+    kernel skips included.  Tests may reset the returned Counter."""
+    work = Counter()
+    scale, sub_scaled, mul_rows = ExtField._scale_row, ExtField._sub_scaled_row, ExtField._mul_rows
 
-    def counted(self, row, f, prow):
-        calls[0] += 1
-        return inner(self, row, f, prow)
+    def counted_scale(self, s, row):
+        work["entries"] += len(row)
+        return scale(self, s, row)
 
-    monkeypatch.setattr(ExtField, "_sub_scaled_row", counted)
-    return calls
+    def counted_sub_scaled(self, row, f, prow):
+        work["entries"] += len(row)
+        return sub_scaled(self, row, f, prow)
+
+    def counted_mul_rows(self, arows, brows, cols):
+        work["terms"] += len(arows) * len(brows) * cols
+        return mul_rows(self, arows, brows, cols)
+
+    monkeypatch.setattr(ExtField, "_scale_row", counted_scale)
+    monkeypatch.setattr(ExtField, "_sub_scaled_row", counted_sub_scaled)
+    monkeypatch.setattr(ExtField, "_mul_rows", counted_mul_rows)
+    return work
 
 
 def gab_code(q: int, m: int, n: int, k: int) -> LinearCodeSpec:

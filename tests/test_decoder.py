@@ -9,7 +9,7 @@ from conftest import (
     all_rref_bases,
     block,
     check_echelon_blocks,
-    count_row_subtractions,
+    count_work,
     full_rank_vandermonde,
     gab_code,
     is_rref,
@@ -216,28 +216,60 @@ def test_decode_too_many_errors():
 
 def test_compute_hsub_runs_the_forward_pass_alone(monkeypatch):
     # With n - k = 3, a full-rank 3 x 3 syndrome leaves no zero row of P @ S,
-    # and one of rank 2 does.  On both, compute_hsub makes exactly the row
-    # subtractions of the forward pass, which the full reduction exceeds.
+    # and one of rank 2 does.  On both, compute_hsub does exactly the row
+    # operations of the forward pass, which the full reduction exceeds.
     code = gab_code(2, 4, 4, 1)
     ctx = code.ctx
     full = full_rank_vandermonde(ctx, 3)
     deficient = MatQm(ctx, full.data[:2] + [[ctx.add(a, b) for a, b in zip(*full.data[:2])]], 3)
-    calls = count_row_subtractions(monkeypatch)
+    work = count_work(monkeypatch)
     for synd in (full, deficient):
-        calls[0] = 0
+        work.clear()
         _, pivots = _forward_carry(synd, code.h)
-        forward = calls[0]
-        calls[0] = 0
+        forward = work["entries"]
+        work.clear()
         rref_carry(synd, code.h)
-        assert calls[0] > forward
-        calls[0] = 0
+        assert work["entries"] > forward
+        work.clear()
         if len(pivots) == 3:
             with pytest.raises(DecodeFailure) as exc:
                 compute_hsub(code.h, synd)
             assert exc.value.reason is FailureReason.TOO_MANY_ERRORS
         else:
             assert compute_hsub(code.h, synd)[0] == len(pivots) == 2
-        assert calls[0] == forward
+        assert work["entries"] == forward
+
+
+@pytest.mark.parametrize("q,m,n,k", [(2, 4, 4, 1), (3, 4, 4, 1), (2, 6, 6, 2)])
+def test_decode_work_is_affine_in_ell(q, m, n, k, monkeypatch):
+    # The work of a successful decode, counted in the row kernels at
+    # t = t_hat = d - 2 and ell = t, 4t, 32t and 128t, with r = n - k.
+    # Dense product terms: the syndrome H @ R^T, n r ell; A_hat @ B_hat,
+    # ell t n; T @ B^T and H_sub @ B^T, n r t together.  Row-operation
+    # entries, from the elimination shapes (pivot i of a pass that reduces
+    # `rows` rows scales at most its own row and clears at most rows - 1 - i
+    # rows below it, and the back pass clears i rows above it):
+    # - compute_hsub, the forward pass over [S | H]: r rows of ell + n
+    #   entries, t pivots, at most t r - t (t - 1) / 2 operations;
+    # - the erasure solve, both passes over [T @ B^T | R_top]: t rows of
+    #   t + ell entries, t pivots, at most t^2 operations;
+    # - the support, odd q only (q = 2 runs the packed F_2 core): both
+    #   passes over ext(H_sub), m (r - t) rows of n entries and n - t
+    #   pivots, at most (n - t) m (r - t) operations.
+    code = gab_code(q, m, n, k)
+    r, t = n - k, code.d - 2
+    work = count_work(monkeypatch)
+    for ell in (t, 4 * t, 32 * t, 128 * t):
+        bound = (t * r - t * (t - 1) // 2) * (ell + n) + t * t * (t + ell)
+        if q > 2:
+            bound += (n - t) * m * (r - t) * n
+        for seed in range(2700, 2720):
+            word, _, received = planted_word(code, ell, t, seed)
+            work.clear()
+            out = decode(code.h, received, code.d)
+            assert out.success and out.c_hat == word and out.t_hat == t, (ell, seed)
+            assert work["terms"] == n * (r + t) * ell + n * r * t, (ell, seed)
+            assert work["entries"] <= bound, (ell, seed)
 
 
 def test_failure_detail_is_kept():

@@ -12,6 +12,7 @@ seeds, so every run checks the same examples.
 
 import copy
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -269,6 +270,39 @@ def test_premise_check_is_the_parity_check(name):
                 assert not parity or (out.success and out.c_hat == c_hat)
                 seen[parity] += 1
     assert seen[True] and seen[False], seen
+
+
+ISOMETRY_CODES = [*HIGH_ORDER_CODES, "random-F8-[4,1]"]
+
+
+@pytest.mark.parametrize("name", ISOMETRY_CODES)
+def test_outcome_depends_only_on_the_code_and_commutes_with_row_mixing(name):
+    # U @ H with U in GL_{n-k} checks the same code, and the syndrome U @ S
+    # has the same left kernel, so H_sub keeps its row space; the support,
+    # the erasure answer and every failure follow from that row space and
+    # from H @ B^T, whose rank U keeps.  V @ R with V in GL_ell mixes the
+    # interleaved rows: S @ V^T has the same left kernel, and the unique A
+    # with (H @ B^T) @ A^T = S becomes V @ A.  Only h_sub may change.
+    if name in HIGH_ORDER_CODES:
+        code = HIGH_ORDER_CODES[name]
+        h, gen, d = code.h, code.gen, code.d
+    else:
+        (h, gen), d = f8_code(trial_rng(2704, 0)), None
+    ctx, n, k = h.ctx, h.cols, gen.rows
+    rng = trial_rng(2705, 0)
+    for ell in (1, 2, 5):
+        for i in range(8):
+            t = i % (n - k + 1)
+            mode = "fullrank" if i % 2 == 0 and t <= ell else "uniform"
+            received = (rand_matrix(rng, ctx, ell, k) @ gen).add(sample_error(rng, ctx, ell, n, t, mode)[0])
+            u = sample_full_rank(rng, ctx, n - k, n - k, n - k, rank_over="qm")
+            v = sample_full_rank(rng, ctx, ell, ell, ell, rank_over="qm")
+            for dec in (decode, mk_hamming_decode):
+                out = replace(dec(h, received, d), h_sub=None)
+                assert replace(dec(u @ h, received, d), h_sub=None) == out, (ell, i, dec)
+                if out.success:
+                    out = replace(out, c_hat=v @ out.c_hat, a_hat=v @ out.a_hat)
+                assert replace(dec(h, v @ received, d), h_sub=None) == out, (ell, i, dec)
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 3)])
