@@ -5,8 +5,8 @@ defines is one it binds at its top level by `def`, `class` or assignment.
 No test module may bind such a name at its own top level, since a local
 copy (a fixture, say) would shadow the shared one.  And each such name must
 be referenced somewhere under tests/ other than at its definition: as a
-name, an attribute, an import from conftest, or a parameter, which is how a
-test requests a fixture.  As in `test_no_unused_helpers.py`, the match is
+name, an import from conftest, or a parameter, which is how a test
+requests a fixture.  As in `test_no_unused_helpers.py`, the match is
 by name only.
 """
 
@@ -29,8 +29,6 @@ def _referenced(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
         elif isinstance(node, ast.arg):
             yield node.arg
         elif isinstance(node, ast.ImportFrom) and node.module == "conftest":
