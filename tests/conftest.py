@@ -154,10 +154,7 @@ def f8_code(rng) -> tuple[MatQm, MatQm]:
     """(H, generator) of a [4, 1] code over F_8 whose 3 x 4 H is drawn from
     rng until it has full rank.  As n > m, d <= m < n - k + 1: the code is
     not MRD, so nothing rules RANK_DEFICIENT out on it."""
-    ctx = ExtField(2, 3)
-    h = rand_matrix(rng, ctx, 3, 4)
-    while rank_qm(h) < 3:
-        h = rand_matrix(rng, ctx, 3, 4)
+    h = sample_full_rank(rng, ExtField(2, 3), 3, 4, 3, rank_over="qm")
     return h, right_kernel_qm(h)
 
 
@@ -178,7 +175,18 @@ def rank_deficient_error(rng, ctx: ExtField, n: int) -> MatQm:
     coeff = rand_matrix(rng, ctx, 2, 2)
     while not (rank_q(coeff) == 2 and rank_qm(coeff) < 2):
         coeff = rand_matrix(rng, ctx, 2, 2)
-    return coeff @ MatQm(ctx, basis.data, basis.cols)
+    return coeff @ basis
+
+
+def burst_word(rng, code: LinearCodeSpec, ell: int, positions) -> tuple[MatQm, MatQm, MatQm]:
+    """(codeword, error, received) for an ell x n error whose nonzero columns
+    are the given positions and are independent over F_{q^m}: the
+    coefficients are drawn first, then the message."""
+    ctx, n = code.ctx, code.n
+    coeff = sample_full_rank(rng, ctx, ell, len(positions), len(positions), rank_over="qm")
+    word = rand_matrix(rng, ctx, ell, code.k) @ code.gen
+    err = coeff @ MatQ(ctx, [[int(j == p) for j in range(n)] for p in positions], n)
+    return word, err, word.add(err)
 
 
 def planted_word(code: LinearCodeSpec, ell: int, t: int, seed: int, mode: str = "fullrank"):
@@ -189,6 +197,37 @@ def planted_word(code: LinearCodeSpec, ell: int, t: int, seed: int, mode: str = 
     word = msg @ code.gen
     err, _, _ = sample_error(rng, ctx, ell, code.n, t, mode)
     return word, err, word.add(err)
+
+
+def _condition_oracle(h: MatQm, basis: MatQ) -> bool:
+    """Exhaustive check of the support-extension condition over all subfield rows."""
+    ctx = h.ctx
+    n, t = h.cols, basis.rows
+    span = set()
+    for mask in range(ctx.q**t):
+        coeffs = []
+        v = mask
+        for _ in range(t):
+            v, r = divmod(v, ctx.q)
+            coeffs.append(r)
+        vec = [0] * n
+        for c, row in zip(coeffs, basis.data):
+            for j in range(n):
+                vec[j] = ctx.add(vec[j], ctx.mul(c, row[j]))
+        span.add(tuple(vec))
+    bt = basis.transpose()
+    for code in range(ctx.q**n):
+        digits = []
+        v = code
+        for _ in range(n):
+            v, r = divmod(v, ctx.q)
+            digits.append(r)
+        if tuple(digits) in span:
+            continue
+        stacked = MatQm(ctx, [row + [d] for row, d in zip(bt.data, digits)], t + 1)
+        if rank_qm(h @ stacked) != t + 1:
+            return False
+    return True
 
 
 def is_rref(mat: MatQm) -> bool:

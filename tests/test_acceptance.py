@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from conftest import all_rref_bases, gab_code, rank_deficient_error
+from conftest import all_rref_bases, burst_word, gab_code, rank_deficient_error
 from rankmk.decoder import compute_hsub, decode, mk_hamming_decode, recover_support, syndrome
 from rankmk.fields import ExtField
-from rankmk.matrix import MatQ, MatQm, ext_expand, right_kernel_qm, rref
+from rankmk.matrix import ext_expand, right_kernel_qm, rref
 from rankmk.simulate import (
     SimConfig,
     count_matrices_rank,
@@ -66,7 +66,7 @@ def exhaustion():
                 coeff = sample_full_rank(rng, ctx, t, t, t, rank_over="qm")
                 msg = rand_matrix(rng, ctx, t, code.k)
                 word = msg @ code.gen
-                err = coeff @ MatQm(ctx, basis.data, basis.cols)
+                err = coeff @ basis
                 outcome = decode(code.h, word.add(err), code.d)
                 total += 1
                 if not (outcome.success and outcome.c_hat == word and outcome.b_hat == basis):
@@ -219,7 +219,6 @@ def test_criterion_7_lo_condition():
 
 def test_criterion_8_hamming_analogy():
     code = gab_code(2, 5, 5, 2)  # MDS as a Hamming-metric code: d_H = 4
-    ctx = code.ctx
     agree = 0
     trials = 100
     for i in range(trials):
@@ -228,16 +227,7 @@ def test_criterion_8_hamming_analogy():
         positions = sorted(rng.below(5) for _ in range(t))
         while len(set(positions)) != t:
             positions = sorted(rng.below(5) for _ in range(t))
-        coeff = sample_full_rank(rng, ctx, 2, t, t, rank_over="qm")
-        rows = []
-        for p in positions:
-            row = [0] * 5
-            row[p] = 1
-            rows.append(row)
-        basis = MatQ(ctx, rows, 5)
-        msg = rand_matrix(rng, ctx, 2, code.k)
-        word = msg @ code.gen
-        received = word.add(coeff @ MatQm(ctx, basis.data, basis.cols))
+        word, _, received = burst_word(rng, code, 2, positions)
         out_burst = mk_hamming_decode(code.h, received, d_hamming=4)
         out_rank = decode(code.h, received, d=4)
         if (

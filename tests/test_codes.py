@@ -17,7 +17,7 @@ from rankmk.codes import (
 from rankmk.errors import FormatError, ParameterError
 from rankmk.fields import ExtField
 from rankmk.matrix import MatQm, rank_q, rank_qm, right_kernel_qm
-from rankmk.simulate import SplitMix64, lo_condition_check, rand_matrix, trial_rng
+from rankmk.simulate import SplitMix64, lo_condition_check, rand_matrix, sample_full_rank, trial_rng
 
 
 def test_generator_worked_example(f32):
@@ -81,9 +81,7 @@ def test_parity_check_random():
     ctx = ExtField(2, 4)
     rng = SplitMix64(21)
     for _ in range(20):
-        gen = rand_matrix(rng, ctx, 2, 5)
-        while rank_qm(gen) < 2:
-            gen = rand_matrix(rng, ctx, 2, 5)
+        gen = sample_full_rank(rng, ctx, 2, 5, 2, rank_over="qm")
         h = parity_check_from_generator(gen)
         assert h.rows == 3 and rank_qm(h) == 3
         assert (h @ gen.transpose()).is_zero()

@@ -7,7 +7,8 @@ copy (a fixture, say) would shadow the shared one.  And each such name must
 be referenced somewhere under tests/ other than at its definition: as a
 name, an import from conftest, or a parameter, which is how a test
 requests a fixture.  As in `test_no_unused_helpers.py`, the match is
-by name only.
+by name only.  No module imports from a `test_*` module, at any depth of
+its body: a helper two test modules share belongs in conftest.
 """
 
 import ast
@@ -35,6 +36,14 @@ def _referenced(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
+def _imported(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
 SHARED = set(_bound(TREES["conftest.py"]))
 
 
@@ -43,6 +52,11 @@ def test_no_test_module_redefines_a_conftest_name():
         (module, name) for module, tree in TREES.items() if module != "conftest.py" for name in _bound(tree)
     }
     assert {(module, name) for module, name in redefined if name in SHARED} == set()
+
+
+def test_no_test_module_imports_another():
+    imports = {(module, name) for module, tree in TREES.items() for name in _imported(tree)}
+    assert {(module, name) for module, name in imports if any(p.startswith("test_") for p in name.split("."))} == set()
 
 
 def test_every_conftest_helper_has_a_user():

@@ -6,8 +6,10 @@ import itertools
 import pytest
 
 from conftest import (
+    _condition_oracle,
     all_rref_bases,
     block,
+    burst_word,
     check_echelon_blocks,
     count_work,
     full_rank_vandermonde,
@@ -18,7 +20,13 @@ from conftest import (
     twist,
     twisted_gabidulin,
 )
-from rankmk.codes import GabidulinSpec, LinearCodeSpec, min_rank_distance_exhaustive, resolve_code
+from rankmk.codes import (
+    GabidulinSpec,
+    LinearCodeSpec,
+    min_rank_distance_exhaustive,
+    parity_check_from_generator,
+    resolve_code,
+)
 from rankmk.decoder import (
     DecodeFailure,
     FailureReason,
@@ -121,7 +129,7 @@ def test_recover_support_planted_exhaustive():
         for basis in all_rref_bases(ctx, t, 4):
             for _ in range(5):
                 coeff = sample_full_rank(rng, ctx, t, t, t, rank_over="qm")
-                err = coeff @ MatQm(ctx, basis.data, basis.cols)
+                err = coeff @ basis
                 assert _support(code.h, code.h @ err.transpose()) == (t, basis)
 
 
@@ -155,7 +163,7 @@ def test_erasure_decode_planted_product():
         err, a0, b0 = sample_error(rng, ctx, 2, 5, 2, "fullrank")
         canon = rref(b0)[0]
         a = erasure_decode(*_square_system(code.h, code.h @ err.transpose()), canon)
-        assert a @ MatQm(ctx, canon.data, canon.cols) == err
+        assert a @ canon == err
 
 
 def test_erasure_decode_rank_deficient(worked):
@@ -193,7 +201,7 @@ def test_decode_planted_random():
         word, err, received = planted_word(code, 3, 2, seed)
         out = decode(code.h, received, code.d)
         assert out.success and out.c_hat == word
-        assert out.c_hat.add(out.a_hat @ MatQm(code.ctx, out.b_hat.data, 5)) == received
+        assert out.c_hat.add(out.a_hat @ out.b_hat) == received
 
 
 def test_decode_leaves_inputs_unchanged():
@@ -348,8 +356,6 @@ def test_decode_dimension_mismatch_raises():
 def test_decode_generic_nongabidulin_codes():
     # the pipeline needs nothing but a parity-check matrix: random codes,
     # exhaustively computed distance, planted full-rank errors at t = d - 2
-    from rankmk.codes import LinearCodeSpec, min_rank_distance_exhaustive, parity_check_from_generator
-
     ctx = ExtField(2, 5)
     rng = SplitMix64(77)
     for k in (2, 1):
@@ -468,37 +474,6 @@ def test_heterogeneous_rows_decode_with_supercode():
 # -- beyond-guarantee condition ------------------------------------------------------
 
 
-def _condition_oracle(h, basis):
-    """Exhaustive check of the support-extension condition over all subfield rows."""
-    ctx = h.ctx
-    n, t = h.cols, basis.rows
-    span = set()
-    for mask in range(ctx.q**t):
-        coeffs = []
-        v = mask
-        for _ in range(t):
-            v, r = divmod(v, ctx.q)
-            coeffs.append(r)
-        vec = [0] * n
-        for c, row in zip(coeffs, basis.data):
-            for j in range(n):
-                vec[j] = ctx.add(vec[j], ctx.mul(c, row[j]))
-        span.add(tuple(vec))
-    bt = MatQm(ctx, basis.data, basis.cols).transpose()
-    for code in range(ctx.q**n):
-        digits = []
-        v = code
-        for _ in range(n):
-            v, r = divmod(v, ctx.q)
-            digits.append(r)
-        if tuple(digits) in span:
-            continue
-        stacked = MatQm(ctx, [row + [d] for row, d in zip(bt.data, digits)], t + 1)
-        if rank_qm(h @ stacked) != t + 1:
-            return False
-    return True
-
-
 def test_beyond_condition_within_guarantee(f32):
     # any support with t <= d-2 fulfills the condition on an MRD code
     code = gab_code(2, 5, 5, 2)
@@ -559,24 +534,6 @@ def test_beyond_flag_tracks_supplied_distance():
 # -- Hamming-metric sibling ------------------------------------------------------------
 
 
-def _planted_burst(code, ell, positions, seed):
-    """Error with the given nonzero columns, extension-field independent."""
-    ctx = code.ctx
-    rng = trial_rng(seed, 0)
-    t = len(positions)
-    coeff = sample_full_rank(rng, ctx, ell, t, t, rank_over="qm")
-    rows = []
-    for p in positions:
-        row = [0] * code.n
-        row[p] = 1
-        rows.append(row)
-    basis = MatQ(ctx, rows, code.n)
-    msg = rand_matrix(rng, ctx, ell, code.k)
-    word = msg @ code.gen
-    err = coeff @ MatQm(ctx, basis.data, basis.cols)
-    return word, err, word.add(err)
-
-
 def test_hamming_zero_error(worked):
     out = mk_hamming_decode(worked["H"], worked["C"], d_hamming=4)
     assert out.success and out.t_hat == 0 and out.c_hat == worked["C"]
@@ -585,7 +542,7 @@ def test_hamming_zero_error(worked):
 def test_hamming_planted_bursts():
     code = gab_code(2, 5, 5, 2)  # MDS in the Hamming metric, d_H = 4
     for seed, positions in enumerate([(0, 3), (1, 2), (2, 4), (0, 1), (3, 4)]):
-        word, err, received = _planted_burst(code, 2, positions, seed)
+        word, err, received = burst_word(trial_rng(seed, 0), code, 2, positions)
         out = mk_hamming_decode(code.h, received, d_hamming=4)
         assert out.success and out.c_hat == word
         assert sorted(j for j in range(5) if any(r[j] for r in err.data)) == list(positions)
@@ -593,9 +550,8 @@ def test_hamming_planted_bursts():
 
 def test_hamming_single_column_all_positions():
     code = gab_code(2, 5, 5, 2)
-    ctx = code.ctx
     for p in range(5):
-        word, err, received = _planted_burst(code, 1, (p,), 100 + p)
+        word, err, received = burst_word(trial_rng(100 + p, 0), code, 1, (p,))
         out = mk_hamming_decode(code.h, received, d_hamming=4)
         assert out.success and out.c_hat == word
 
@@ -604,7 +560,7 @@ def test_hamming_rank_agreement_on_bursts():
     # a column burst with independent columns is also a full-rank rank error
     code = gab_code(2, 5, 5, 2)
     for seed, positions in enumerate([(0, 2), (1, 4), (2, 3)]):
-        word, err, received = _planted_burst(code, 2, positions, 200 + seed)
+        word, err, received = burst_word(trial_rng(200 + seed, 0), code, 2, positions)
         out_h = mk_hamming_decode(code.h, received, d_hamming=4)
         out_r = decode(code.h, received, d=4)
         assert out_h.success and out_r.success

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     REGIME_FIELDS,
+    _condition_oracle,
     block,
     check_echelon_blocks,
     column_burst,
@@ -65,7 +66,6 @@ from rankmk.matrix import (
     solve_right,
 )
 from rankmk.simulate import lo_condition_check, rand_matrix, sample_error, sample_full_rank, trial_rng
-from test_decoder import _condition_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -115,6 +115,12 @@ GAB_CODES = [gab_code(2, 4, 4, 1), gab_code(3, 3, 3, 1), CODE]
 GENERIC_FIELDS = [(2, 2), (2, 4), (3, 2)]
 
 
+def _matrix(draw, ctx: ExtField, rows: int, cols: int, bound: int) -> MatQm:
+    """A rows x cols matrix over ctx with entries drawn from 0 .. bound - 1."""
+    entries = st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols)
+    return MatQm(ctx, draw(st.lists(entries, min_size=rows, max_size=rows)), cols)
+
+
 @st.composite
 def decoding_instances(draw):
     """(H, received, gabidulin): a Gabidulin code or a random full-row-rank
@@ -133,17 +139,12 @@ def decoding_instances(draw):
         assume(rank_qm(h) == r)
         gen = right_kernel_qm(h)
     ctx, n = h.ctx, h.cols
-
-    def matrix(rows, cols, bound):
-        entries = st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols)
-        return MatQm(ctx, draw(st.lists(entries, min_size=rows, max_size=rows)), cols)
-
     ell = draw(st.integers(1, 3))
     if draw(st.integers(0, 3)) == 0:
-        return h, matrix(ell, n, ctx.order), gabidulin
+        return h, _matrix(draw, ctx, ell, n, ctx.order), gabidulin
     t = draw(st.integers(0, h.rows))
-    word = matrix(ell, gen.rows, ctx.order) @ gen
-    err = matrix(ell, t, ctx.order) @ matrix(t, n, ctx.q)
+    word = _matrix(draw, ctx, ell, gen.rows, ctx.order) @ gen
+    err = _matrix(draw, ctx, ell, t, ctx.order) @ _matrix(draw, ctx, t, n, ctx.q)
     return h, word.add(err), gabidulin
 
 
@@ -173,15 +174,10 @@ def lo_instances(draw):
     code = draw(st.sampled_from(LO_CODES))
     ctx, n = code.ctx, code.n
     g = tuple(ctx.alpha_pow(i) for i in range(n))
-
-    def matrix(rows, cols, bound):
-        entries = st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols)
-        return MatQm(ctx, draw(st.lists(entries, min_size=rows, max_size=rows)), cols)
-
     ell = draw(st.integers(1, 4))
     t = draw(st.integers(0, code.d - 2))
-    err = matrix(ell, t, ctx.order) @ matrix(t, n, ctx.q)
-    return code, g, err, (matrix(ell, code.k, ctx.order) @ code.gen).add(err)
+    err = _matrix(draw, ctx, ell, t, ctx.order) @ _matrix(draw, ctx, t, n, ctx.q)
+    return code, g, err, (_matrix(draw, ctx, ell, code.k, ctx.order) @ code.gen).add(err)
 
 
 @settings(PROPERTY, max_examples=300)

@@ -173,7 +173,7 @@ def test_sample_error_trivial_and_ranks():
         for mode in ("uniform", "fullrank"):
             err, a, b = sample_error(rng, ctx, 2, 3, t, mode)
             assert rank_q(err) == t
-            assert err == a @ MatQm(ctx, b.data, b.cols)
+            assert err == a @ b
             if mode == "fullrank":
                 assert rank_qm(err) == t
     with pytest.raises(ParameterError):
@@ -202,7 +202,7 @@ def test_sample_error_fullrank_frequency_meets_bound():
 def test_worked_example_error_factors(f32, worked):
     err = alpha_mat(f32, [[3, 1, 3, 1, 1], [1, 2, 1, 2, 2]])
     a, b = worked["A"], worked["B"]
-    assert a @ MatQm(f32, b.data, b.cols) == err
+    assert a @ b == err
     assert rank_q(err) == rank_qm(err) == 2
 
 
