@@ -349,8 +349,9 @@ def test_decode_support_duality_on_success():
 
 def test_decode_dimension_mismatch_raises():
     code = gab_code(2, 5, 5, 2)
-    with pytest.raises(Exception):
-        decode(code.h, MatQm.zeros(code.ctx, 2, 4))
+    for dec in (decode, mk_hamming_decode):
+        with pytest.raises(ParameterError, match="^parity-check has 5 columns but received word has 4$"):
+            dec(code.h, MatQm.zeros(code.ctx, 2, 4))
 
 
 def test_decode_generic_nongabidulin_codes():
