@@ -455,6 +455,17 @@ def test_twisted_gabidulin_guarantee_past_enumeration(k):
         assert out.success and out.c_hat == word and out.t_hat == t, i
 
 
+@pytest.mark.parametrize("m,k,supports", [(4, 2, 40), (5, 3, 121), (5, 2, 1331)])
+def test_twisted_gabidulin_meets_the_support_condition(m, k, supports):
+    # An MRD twisted Gabidulin [m, k] code over F_{3^m} has d = m - k + 1,
+    # and every support of dimension 1 to d - 2 meets the condition.
+    ctx = ExtField(3, m)
+    code = twisted_gabidulin(ctx, k, twist(ctx, k, True, trial_rng(2821, 10 * m + k)), d=m - k + 1)
+    bases = [basis for t in range(1, code.d - 1) for basis in all_rref_bases(ctx, t, m)]
+    assert len(bases) == supports
+    assert all(beyond_d2_condition(code.h, basis) for basis in bases)
+
+
 def test_heterogeneous_rows_decode_with_supercode():
     # rows drawn from different subcodes of a joint supercode are decodable
     # with the supercode's parity-check matrix alone

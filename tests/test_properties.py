@@ -268,7 +268,18 @@ def test_premise_check_is_the_parity_check(name):
     assert seen[True] and seen[False], seen
 
 
-ISOMETRY_CODES = [*HIGH_ORDER_CODES, "random-F8-[4,1]"]
+# Seeds of the random [4, 1] codes over F_8: at 2301 (the outcome digest's
+# draw) RANK_DEFICIENT is reachable.
+F8_SEEDS = {"random-F8-[4,1]": 2704, "random-F8-[4,1]-2301": 2301}
+ISOMETRY_CODES = [*HIGH_ORDER_CODES, *F8_SEEDS]
+
+
+def _isometry_code(name: str) -> tuple[MatQm, MatQm, int | None]:
+    """(H, generator, d) of a HIGH_ORDER_CODES code or of a seeded F_8 code."""
+    if name in HIGH_ORDER_CODES:
+        code = HIGH_ORDER_CODES[name]
+        return code.h, code.gen, code.d
+    return (*f8_code(trial_rng(F8_SEEDS[name], 0)), None)
 
 
 @pytest.mark.parametrize("name", ISOMETRY_CODES)
@@ -279,11 +290,7 @@ def test_outcome_depends_only_on_the_code_and_commutes_with_row_mixing(name):
     # from H @ B^T, whose rank U keeps.  V @ R with V in GL_ell mixes the
     # interleaved rows: S @ V^T has the same left kernel, and the unique A
     # with (H @ B^T) @ A^T = S becomes V @ A.  Only h_sub may change.
-    if name in HIGH_ORDER_CODES:
-        code = HIGH_ORDER_CODES[name]
-        h, gen, d = code.h, code.gen, code.d
-    else:
-        (h, gen), d = f8_code(trial_rng(2704, 0)), None
+    h, gen, d = _isometry_code(name)
     ctx, n, k = h.ctx, h.cols, gen.rows
     rng = trial_rng(2705, 0)
     for ell in (1, 2, 5):
@@ -299,6 +306,46 @@ def test_outcome_depends_only_on_the_code_and_commutes_with_row_mixing(name):
                 if out.success:
                     out = replace(out, c_hat=v @ out.c_hat, a_hat=v @ out.a_hat)
                 assert replace(dec(h, v @ received, d), h_sub=None) == out, (ell, i, dec)
+
+
+@pytest.mark.parametrize("name", ISOMETRY_CODES)
+def test_outcome_commutes_with_column_isometries_and_frobenius(name):
+    # (H @ M^-T, R @ M) with M in GL_n(F_q) keeps the syndrome H @ R^T, so
+    # the reason, t_hat and detail stay; the error E @ M has the support
+    # rowspace(B @ M), and C_hat becomes C_hat @ M.  For mk_hamming_decode,
+    # M is a permutation, which keeps the Hamming weight.  sigma(x) = x^q,
+    # entry by entry, is a field automorphism that fixes F_q: it maps every
+    # step of the decoder to the same step on the images, so the outcome of
+    # (sigma(H), sigma(R)) is sigma of the outcome, with B_hat as it was.
+    h, gen, d = _isometry_code(name)
+    ctx, n, k = h.ctx, h.cols, gen.rows
+    eye = MatQm.identity(ctx, n)
+    rng = trial_rng(2811, 0)
+
+    def sigma(mat):
+        return MatQm(ctx, [[ctx.frobenius(a, 1) for a in row] for row in mat.data], mat.cols)
+
+    for ell in (1, 2, 5):
+        for i in range(8):
+            t = i % (n - k + 1)
+            mode = "fullrank" if i % 2 == 0 and t <= ell else "uniform"
+            received = (rand_matrix(rng, ctx, ell, k) @ gen).add(sample_error(rng, ctx, ell, n, t, mode)[0])
+            general = sample_full_rank(rng, ctx, n, n, n, subfield=True)
+            order = list(range(n))
+            for j in range(n - 1, 0, -1):
+                r = rng.below(j + 1)
+                order[j], order[r] = order[r], order[j]
+            permutation = MatQ(ctx, [[int(j == p) for j in range(n)] for p in order], n)
+            for dec, iso in ((decode, general), (mk_hamming_decode, permutation)):
+                out = dec(h, received, d)
+                moved = dec(h @ solve_right(iso, eye), received @ iso, d)
+                assert (moved.reason, moved.t_hat, moved.detail) == (out.reason, out.t_hat, out.detail), (ell, i, dec)
+                assert moved.beyond_guarantee == out.beyond_guarantee
+                if out.success:
+                    assert moved.c_hat == out.c_hat @ iso, (ell, i, dec)
+                    assert moved.b_hat == rref(out.b_hat @ iso)[0], (ell, i, dec)
+                    out = replace(out, c_hat=sigma(out.c_hat), a_hat=sigma(out.a_hat), h_sub=sigma(out.h_sub))
+                assert dec(sigma(h), sigma(received), d) == out, (ell, i, dec)
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 3)])
