@@ -55,8 +55,13 @@ def test_no_test_module_redefines_a_conftest_name():
 
 
 def test_no_test_module_imports_another():
-    imports = {(module, name) for module, tree in TREES.items() for name in _imported(tree)}
-    assert {(module, name) for module, name in imports if any(p.startswith("test_") for p in name.split("."))} == set()
+    imported = {
+        (module, name)
+        for module, tree in TREES.items()
+        for name in _imported(tree)
+        if any(part.startswith("test_") for part in name.split("."))
+    }
+    assert imported == set()
 
 
 def test_every_conftest_helper_has_a_user():

@@ -339,8 +339,8 @@ def test_outcome_commutes_with_column_isometries_and_frobenius(name):
             for dec, iso in ((decode, general), (mk_hamming_decode, permutation)):
                 out = dec(h, received, d)
                 moved = dec(h @ solve_right(iso, eye), received @ iso, d)
-                assert (moved.reason, moved.t_hat, moved.detail) == (out.reason, out.t_hat, out.detail), (ell, i, dec)
-                assert moved.beyond_guarantee == out.beyond_guarantee
+                kept = (moved.reason, moved.t_hat, moved.detail, moved.beyond_guarantee)
+                assert kept == (out.reason, out.t_hat, out.detail, out.beyond_guarantee), (ell, i, dec)
                 if out.success:
                     assert moved.c_hat == out.c_hat @ iso, (ell, i, dec)
                     assert moved.b_hat == rref(out.b_hat @ iso)[0], (ell, i, dec)
