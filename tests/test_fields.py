@@ -254,24 +254,18 @@ def _accepted(q, m, f):
 
 
 @pytest.mark.parametrize("q, max_m", [(2, 10), (3, 6), (5, 4), (7, 3)])
-def test_irreducibility_matches_trial_division(q, max_m):
-    # every monic polynomial of degree <= max_m: accepted iff irreducible
-    for m in range(1, max_m + 1):
-        for low in itertools.product(range(q), repeat=m):
-            f = list(low) + [1]
-            assert _accepted(q, m, f) == _irreducible_by_trial_division(f, q, m), f
-
-
-@pytest.mark.parametrize("q, max_m", [(2, 10), (3, 6), (5, 4), (7, 3)])
-def test_primitive_walk_implies_irreducible(q, max_m, monkeypatch):
-    # With Rabin's test switched off every modulus builds, and is_primitive is
-    # the walk's own verdict: it must never call a reducible modulus primitive
+def test_irreducibility_matches_trial_division(q, max_m, monkeypatch):
+    # Every monic polynomial of degree <= max_m: accepted iff irreducible.
+    # Then, with Rabin's test switched off, every modulus builds and
+    # is_primitive is the walk's own verdict: it must never call a reducible
+    # modulus primitive.
+    moduli = [(m, [*low, 1]) for m in range(1, max_m + 1) for low in itertools.product(range(q), repeat=m)]
+    irreducible = [_irreducible_by_trial_division(f, q, m) for m, f in moduli]
+    for (m, f), irr in zip(moduli, irreducible):
+        assert _accepted(q, m, f) == irr, f
     monkeypatch.setattr(ExtField, "_is_irreducible", lambda self: True)
-    for m in range(1, max_m + 1):
-        for low in itertools.product(range(q), repeat=m):
-            f = list(low) + [1]
-            ctx = ExtField(q, m, f)
-            assert not ctx.is_primitive or _irreducible_by_trial_division(f, q, m), f
+    for (m, f), irr in zip(moduli, irreducible):
+        assert irr or not ExtField(q, m, f).is_primitive, f
 
 
 def test_modulus_divisible_by_x_skips_walk(monkeypatch):

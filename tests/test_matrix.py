@@ -140,25 +140,6 @@ def test_rref_random_properties():
         assert rref(left @ m)[0] == reduced
 
 
-def test_rref_gf2_path_matches_generic(f8):
-    rng = SplitMix64(5)
-    cases = [rand_matrix(rng, f8, 4, 6, subfield=True) for _ in range(20)]
-    for _ in range(10):  # rank-deficient: the last row is the sum of two others
-        a, b, c = rand_matrix(rng, f8, 3, 6, subfield=True).data
-        cases.append(MatQ(f8, [a, b, c, [x ^ y for x, y in zip(a, c)]]))
-    cases += [MatQ.zeros(f8, 0, 6), MatQ.zeros(f8, 3, 6), MatQ.zeros(f8, 2, 0)]
-    for sub in cases:
-        lifted = MatQm(f8, sub.data, sub.cols)
-        r_sub, p_sub = rref(sub)
-        r_gen, p_gen = rref(lifted)
-        assert r_sub.data == r_gen.data and p_sub == p_gen
-        assert isinstance(r_sub, MatQ)
-        # the packed core behind rank_q and right_kernel_q against the generic rref
-        assert rank_q(sub) == len(p_gen)
-        kernel = right_kernel_q(sub)
-        assert isinstance(kernel, MatQ) and kernel.data == right_kernel_qm(lifted).data
-
-
 def test_ranks_trivials(f8):
     z = MatQm.zeros(f8, 3, 3)
     assert rank_q(z) == rank_qm(z) == 0
