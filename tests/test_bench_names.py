@@ -5,13 +5,9 @@ counts the field operations in COUNTED.  Renaming or deleting one of them
 would crash the traced run with a KeyError; this test fails first.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "rankbench"))
-import layers  # noqa: E402
+import layers
 
 NAMES = [(entry[0], entry[1]) for entry in layers.TARGETS + layers.COUNTED]
 

@@ -7,14 +7,11 @@ test fails first.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "rankbench"))
-import harness  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+import harness
+from workloads import WORKLOADS
 
 NAMES = sorted(json.loads(harness.REFERENCE.read_text()))
 

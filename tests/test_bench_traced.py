@@ -9,15 +9,12 @@ no longer defines fails it with a KeyError.  A metric that reads exactly
 items (item 1a re-aims or drops them); a metric that dies fails here.
 """
 
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "rankbench"))
-import layers  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+import layers
+from workloads import WORKLOADS
 
 SEED = 2831
 
