@@ -383,13 +383,16 @@ def lo_condition_check(g, k: int, err: MatQm) -> bool:
     q^i powers) and tests extension-field rank n - 1, the exact success
     condition of the Loidreau-Overbeck interleaved decoder; t is the rank
     weight of `err`.  A property test holds that a successful `decode`
-    implies it.  Not conversely: with seed 2026 and 600 words per shape, it
-    held where `decode` failed on 17 uniform words of [5,1] over F_{2^5}
-    (ell = t = 2), 12 of [6,2] over F_{2^6} (ell = t = 2) and 1 of [5,1]
-    (ell = 3, t = 2).  At t = d - 2 both agreed on every uniform and fullrank
-    word of [4,1]/F_{2^4}, [6,2]/F_{2^6} (t = 3) and [5,2]/F_{3^5}.  It is
-    stated on Gabidulin locators g, so not on generic or twisted Gabidulin
-    codes, which `decode` also takes."""
+    implies it.  At t = d - 2 it holds exactly when `decode` succeeds: on
+    [4,1]/F_{2^4}, [5,1]/F_{2^5}, [6,2]/F_{2^6} and [5,2]/F_{3^5}, with
+    ell = 1 to t + 1, uniform errors and, where t <= ell, fullrank ones,
+    1,000 words per case at seed 2909 (22,000 words) agreed on every word,
+    and a test checks the first 100 of each case.  Below d - 2 success does
+    not follow: with seed 2026 and 600 words per shape, it held where
+    `decode` failed on 17 uniform words of [5,1] over F_{2^5} (ell = t = 2),
+    12 of [6,2] over F_{2^6} (ell = t = 2) and 1 of [5,1] (ell = 3, t = 2).
+    It is stated on Gabidulin locators g, so not on generic or twisted
+    Gabidulin codes, which `decode` also takes."""
     ctx = err.ctx
     g = list(g)
     n = len(g)

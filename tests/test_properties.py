@@ -1,5 +1,6 @@
 """Property tests: the shared decoding pipeline and its success condition,
-the LO condition, the high-order regime (ell up to 32t), the outcome's symmetries, what a
+the LO condition (implied by a success, and equivalent to one at t = d - 2),
+the high-order regime (ell up to 32t), the outcome's symmetries, what a
 miscorrection implies and a brute-force check that a success is the unique
 nearest codeword, the dual-code construction, the carried row reduction,
 the beyond-d-2 condition, the F_q rank and kernel on both matrix types, the
@@ -29,8 +30,11 @@ from conftest import (
     gab_code,
     is_rref,
     planted_word,
+    twist,
+    twisted_gabidulin,
 )
 from rankmk.codes import (
+    GabidulinSpec,
     LinearCodeSpec,
     code_spec_from_text,
     code_spec_to_text,
@@ -190,6 +194,26 @@ def test_decode_success_implies_lo_condition(case):
         assert lo_condition_check(g, code.k, err)
 
 
+def test_decode_success_is_the_lo_condition_at_d_minus_2():
+    # At t = d - 2 the implication above is an equivalence.  Over ell = 1 to
+    # t + 1, with uniform errors and, where t <= ell, fullrank ones, a seeded
+    # run of 1,000 words per case (22,000 words, these streams) agreed on
+    # every word; this checks the first 100 of each.
+    case = 0
+    for code in LO_CODES:
+        ctx, n, k, t = code.ctx, code.n, code.k, code.d - 2
+        g = tuple(ctx.alpha_pow(i) for i in range(n))
+        for ell in range(1, t + 2):
+            for mode in ("uniform", "fullrank")[: 1 + (t <= ell)]:
+                rng = trial_rng(2909, case)
+                case += 1
+                for i in range(100):
+                    word = rand_matrix(rng, ctx, ell, k) @ code.gen
+                    err, _, _ = sample_error(rng, ctx, ell, n, t, mode)
+                    out = decode(code.h, word.add(err), code.d)
+                    assert out.success == lo_condition_check(g, k, err), (ctx.q, ctx.m, k, ell, mode, i)
+
+
 # -- the paper's high-order regime, and what a miscorrection looks like --------------------
 
 
@@ -268,18 +292,31 @@ def test_premise_check_is_the_parity_check(name):
     assert seen[True] and seen[False], seen
 
 
-# Seeds of the random [4, 1] codes over F_8: at 2301 (the outcome digest's
-# draw) RANK_DEFICIENT is reachable.
-F8_SEEDS = {"random-F8-[4,1]": 2704, "random-F8-[4,1]-2301": 2301}
-ISOMETRY_CODES = [*HIGH_ORDER_CODES, *F8_SEEDS]
+# Seeds of the random [4, 1] codes over F_8.  At 2301, the outcome digest's
+# draw, the generator (0, 1, 1, 0) is a binary word of rank weight 1: d = 1,
+# and the codeword lies in the F_q-kernel of H, so `decode` fails every word
+# on it, the zero word included, with SUPPORT_DIMENSION_MISMATCH at t_hat = 0.
+# The code stays because RANK_DEFICIENT is reachable on it.  2302 is the
+# first later seed with d = 2, where `decode` also succeeds.
+F8_SEEDS = {"random-F8-[4,1]": 2704, "random-F8-[4,1]-2301": 2301, "random-F8-[4,1]-2302": 2302}
+ISOMETRY_CODES = [*HIGH_ORDER_CODES, *F8_SEEDS, "gab-F16-untabled-[4,1]", "twisted-F729-[6,3]"]
 
 
 def _isometry_code(name: str) -> tuple[MatQm, MatQm, int | None]:
-    """(H, generator, d) of a HIGH_ORDER_CODES code or of a seeded F_8 code."""
-    if name in HIGH_ORDER_CODES:
+    """(H, generator, d) of a HIGH_ORDER_CODES code, of a seeded F_8 code, of
+    the [4, 1] Gabidulin code over an untabled F_16, or of an MRD twisted
+    Gabidulin [6, 3] code over F_{3^6}, which no brute-force oracle reaches."""
+    if name in F8_SEEDS:
+        return (*f8_code(trial_rng(F8_SEEDS[name], 0)), None)
+    if name == "gab-F16-untabled-[4,1]":
+        ctx = ExtField(2, 4, (1, 1, 1, 1, 1))  # alpha has order 5: no tables
+        code = resolve_code(GabidulinSpec(ctx, (1, 2, 4, 8), 1))
+    elif name == "twisted-F729-[6,3]":
+        ctx = ExtField(3, 6)
+        code = twisted_gabidulin(ctx, 3, twist(ctx, 3, True, trial_rng(2213, 9)), d=4)
+    else:
         code = HIGH_ORDER_CODES[name]
-        return code.h, code.gen, code.d
-    return (*f8_code(trial_rng(F8_SEEDS[name], 0)), None)
+    return code.h, code.gen, code.d
 
 
 @pytest.mark.parametrize("name", ISOMETRY_CODES)
@@ -305,6 +342,7 @@ def test_outcome_commutes_with_symmetries(name):
     ctx, n, k = h.ctx, h.cols, gen.rows
     eye = MatQm.identity(ctx, n)
     rng = trial_rng(2705, 0)
+    reasons = Counter()
 
     def sigma(mat):
         return MatQm(ctx, [[ctx.frobenius(a, 1) for a in row] for row in mat.data], mat.cols)
@@ -325,6 +363,7 @@ def test_outcome_commutes_with_symmetries(name):
             for dec, iso in ((decode, general), (mk_hamming_decode, permutation)):
                 where = (ell, i, dec.__name__)
                 out = dec(h, received, d)
+                reasons[dec, out.reason] += 1
                 mixed = replace(out, h_sub=None)
                 assert replace(dec(u @ h, received, d), h_sub=None) == mixed, where
                 if out.success:
@@ -338,6 +377,10 @@ def test_outcome_commutes_with_symmetries(name):
                     assert moved.b_hat == rref(out.b_hat @ iso)[0], where
                     out = replace(out, c_hat=sigma(out.c_hat), a_hat=sigma(out.a_hat), h_sub=sigma(out.h_sub))
                 assert dec(sigma(h), sigma(received), d) == out, where
+    # Both branches run: `decode` succeeds on every code but the one with
+    # d = 1, which reaches RANK_DEFICIENT instead.
+    reached = FailureReason.RANK_DEFICIENT if name.endswith("2301") else None
+    assert reasons[decode, reached], reasons
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 3)])
