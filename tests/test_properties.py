@@ -204,7 +204,7 @@ def test_decode_success_is_the_lo_condition_at_d_minus_2():
         ctx, n, k, t = code.ctx, code.n, code.k, code.d - 2
         g = tuple(ctx.alpha_pow(i) for i in range(n))
         for ell in range(1, t + 2):
-            for mode in ("uniform", "fullrank")[: 1 + (t <= ell)]:
+            for mode in ("uniform", "fullrank") if t <= ell else ("uniform",):
                 rng = trial_rng(2909, case)
                 case += 1
                 for i in range(100):
@@ -309,9 +309,11 @@ def _isometry_code(name: str) -> tuple[MatQm, MatQm, int | None]:
     if name in F8_SEEDS:
         return (*f8_code(trial_rng(F8_SEEDS[name], 0)), None)
     if name == "gab-F16-untabled-[4,1]":
-        ctx = ExtField(2, 4, (1, 1, 1, 1, 1))  # alpha has order 5: no tables
+        ctx = ExtField(*REGIME_FIELDS["F16-untabled"])  # alpha has order 5: no tables
         code = resolve_code(GabidulinSpec(ctx, (1, 2, 4, 8), 1))
     elif name == "twisted-F729-[6,3]":
+        # MRD by the norm condition, so d = n - k + 1; the twist is the one
+        # test_twisted_gabidulin_guarantee_past_enumeration draws for k = 3
         ctx = ExtField(3, 6)
         code = twisted_gabidulin(ctx, 3, twist(ctx, 3, True, trial_rng(2213, 9)), d=4)
     else:
