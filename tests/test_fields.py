@@ -4,7 +4,7 @@ import ast
 import itertools
 import random
 import time
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import pytest
@@ -253,19 +253,31 @@ def _accepted(q, m, f):
     return True
 
 
-@pytest.mark.parametrize("q, max_m", [(2, 10), (3, 6), (5, 4), (7, 3)])
-def test_irreducibility_matches_trial_division(q, max_m, monkeypatch):
-    # Every monic polynomial of degree <= max_m: accepted iff irreducible.
-    # Then, with Rabin's test switched off, every modulus builds and
-    # is_primitive is the walk's own verdict: it must never call a reducible
-    # modulus primitive.
+MODULUS_WALKS = [(2, 10), (3, 6), (5, 4), (7, 3)]
+
+
+@cache
+def _moduli_with_verdicts(q, max_m):
+    """Every monic polynomial over F_q of degree 1..max_m, with the
+    trial-division verdict on it: the two tests below walk these once."""
     moduli = [(m, [*low, 1]) for m in range(1, max_m + 1) for low in itertools.product(range(q), repeat=m)]
-    irreducible = [_irreducible_by_trial_division(f, q, m) for m, f in moduli]
-    for (m, f), irr in zip(moduli, irreducible):
-        assert _accepted(q, m, f) == irr, f
+    return [(m, f, _irreducible_by_trial_division(f, q, m)) for m, f in moduli]
+
+
+@pytest.mark.parametrize("q, max_m", MODULUS_WALKS)
+def test_irreducibility_matches_trial_division(q, max_m):
+    # every monic polynomial of degree <= max_m: accepted iff irreducible
+    for m, f, irreducible in _moduli_with_verdicts(q, max_m):
+        assert _accepted(q, m, f) == irreducible, f
+
+
+@pytest.mark.parametrize("q, max_m", MODULUS_WALKS)
+def test_primitive_walk_implies_irreducible(q, max_m, monkeypatch):
+    # With Rabin's test switched off every modulus builds, and is_primitive is
+    # the walk's own verdict: it must never call a reducible modulus primitive
     monkeypatch.setattr(ExtField, "_is_irreducible", lambda self: True)
-    for (m, f), irr in zip(moduli, irreducible):
-        assert irr or not ExtField(q, m, f).is_primitive, f
+    for m, f, irreducible in _moduli_with_verdicts(q, max_m):
+        assert irreducible or not ExtField(q, m, f).is_primitive, f
 
 
 def test_modulus_divisible_by_x_skips_walk(monkeypatch):

@@ -14,7 +14,7 @@ seeds, so every run checks the same examples.
 import copy
 from collections import Counter
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -321,34 +321,16 @@ def _isometry_code(name: str) -> tuple[MatQm, MatQm, int | None]:
     return code.h, code.gen, code.d
 
 
-@pytest.mark.parametrize("name", ISOMETRY_CODES)
-def test_outcome_commutes_with_symmetries(name):
-    # Each word is drawn and decoded once per decoder, and its outcome is
-    # held to four symmetries.
-    # - U @ H with U in GL_{n-k} checks the same code, and the syndrome U @ S
-    #   has the same left kernel, so H_sub keeps its row space; the support,
-    #   the erasure answer and every failure follow from that row space and
-    #   from H @ B^T, whose rank U keeps.  Only h_sub may change.
-    # - V @ R with V in GL_ell mixes the interleaved rows: S @ V^T has the
-    #   same left kernel, and the unique A with (H @ B^T) @ A^T = S becomes
-    #   V @ A.  Only h_sub may change.
-    # - (H @ M^-T, R @ M) with M in GL_n(F_q) keeps the syndrome H @ R^T, so
-    #   the reason, t_hat and detail stay; the error E @ M has the support
-    #   rowspace(B @ M), and C_hat becomes C_hat @ M.  For mk_hamming_decode,
-    #   M is a permutation, which keeps the Hamming weight.
-    # - sigma(x) = x^q, entry by entry, is a field automorphism that fixes
-    #   F_q: it maps every step of the decoder to the same step on the
-    #   images, so the outcome of (sigma(H), sigma(R)) is sigma of the
-    #   outcome, with B_hat as it was.
+@cache
+def _isometry_draws(name: str) -> tuple[MatQm, int | None, list]:
+    """(H, d, draws) of `name`'s code: 24 seeded words, each with its
+    U in GL_{n-k}, V in GL_ell, M in GL_n(F_q), column permutation and one
+    outcome per decoder.  Both symmetry tests below hold these same outcomes,
+    so each word is drawn and decoded once."""
     h, gen, d = _isometry_code(name)
     ctx, n, k = h.ctx, h.cols, gen.rows
-    eye = MatQm.identity(ctx, n)
     rng = trial_rng(2705, 0)
-    reasons = Counter()
-
-    def sigma(mat):
-        return MatQm(ctx, [[ctx.frobenius(a, 1) for a in row] for row in mat.data], mat.cols)
-
+    draws = []
     for ell in (1, 2, 5):
         for i in range(8):
             t = i % (n - k + 1)
@@ -363,26 +345,58 @@ def test_outcome_commutes_with_symmetries(name):
                 order[j], order[r] = order[r], order[j]
             permutation = MatQ(ctx, [[int(j == p) for j in range(n)] for p in order], n)
             for dec, iso in ((decode, general), (mk_hamming_decode, permutation)):
-                where = (ell, i, dec.__name__)
-                out = dec(h, received, d)
-                reasons[dec, out.reason] += 1
-                mixed = replace(out, h_sub=None)
-                assert replace(dec(u @ h, received, d), h_sub=None) == mixed, where
-                if out.success:
-                    mixed = replace(mixed, c_hat=v @ out.c_hat, a_hat=v @ out.a_hat)
-                assert replace(dec(h, v @ received, d), h_sub=None) == mixed, where
-                moved = dec(h @ solve_right(iso, eye), received @ iso, d)
-                kept = (moved.reason, moved.t_hat, moved.detail, moved.beyond_guarantee)
-                assert kept == (out.reason, out.t_hat, out.detail, out.beyond_guarantee), where
-                if out.success:
-                    assert moved.c_hat == out.c_hat @ iso, where
-                    assert moved.b_hat == rref(out.b_hat @ iso)[0], where
-                    out = replace(out, c_hat=sigma(out.c_hat), a_hat=sigma(out.a_hat), h_sub=sigma(out.h_sub))
-                assert dec(sigma(h), sigma(received), d) == out, where
+                draws.append(((ell, i, dec.__name__), dec, received, u, v, iso, dec(h, received, d)))
+    return h, d, draws
+
+
+@pytest.mark.parametrize("name", ISOMETRY_CODES)
+def test_outcome_depends_only_on_the_code_and_commutes_with_row_mixing(name):
+    # U @ H with U in GL_{n-k} checks the same code, and the syndrome U @ S
+    # has the same left kernel, so H_sub keeps its row space; the support,
+    # the erasure answer and every failure follow from that row space and
+    # from H @ B^T, whose rank U keeps.  V @ R with V in GL_ell mixes the
+    # interleaved rows: S @ V^T has the same left kernel, and the unique A
+    # with (H @ B^T) @ A^T = S becomes V @ A.  Only h_sub may change.
+    h, d, draws = _isometry_draws(name)
+    reasons = Counter()
+    for where, dec, received, u, v, _, out in draws:
+        reasons[dec, out.reason] += 1
+        mixed = replace(out, h_sub=None)
+        assert replace(dec(u @ h, received, d), h_sub=None) == mixed, where
+        if out.success:
+            mixed = replace(mixed, c_hat=v @ out.c_hat, a_hat=v @ out.a_hat)
+        assert replace(dec(h, v @ received, d), h_sub=None) == mixed, where
     # Both branches run: `decode` succeeds on every code but the one with
     # d = 1, which reaches RANK_DEFICIENT instead.
     reached = FailureReason.RANK_DEFICIENT if name.endswith("2301") else None
     assert reasons[decode, reached], reasons
+
+
+@pytest.mark.parametrize("name", ISOMETRY_CODES)
+def test_outcome_commutes_with_column_isometries_and_frobenius(name):
+    # (H @ M^-T, R @ M) with M in GL_n(F_q) keeps the syndrome H @ R^T, so
+    # the reason, t_hat and detail stay; the error E @ M has the support
+    # rowspace(B @ M), and C_hat becomes C_hat @ M.  For mk_hamming_decode,
+    # M is a permutation, which keeps the Hamming weight.  sigma(x) = x^q,
+    # entry by entry, is a field automorphism that fixes F_q: it maps every
+    # step of the decoder to the same step on the images, so the outcome of
+    # (sigma(H), sigma(R)) is sigma of the outcome, with B_hat as it was.
+    h, d, draws = _isometry_draws(name)
+    ctx = h.ctx
+    eye = MatQm.identity(ctx, h.cols)
+
+    def sigma(mat):
+        return MatQm(ctx, [[ctx.frobenius(a, 1) for a in row] for row in mat.data], mat.cols)
+
+    for where, dec, received, _, _, iso, out in draws:
+        moved = dec(h @ solve_right(iso, eye), received @ iso, d)
+        kept = (moved.reason, moved.t_hat, moved.detail, moved.beyond_guarantee)
+        assert kept == (out.reason, out.t_hat, out.detail, out.beyond_guarantee), where
+        if out.success:
+            assert moved.c_hat == out.c_hat @ iso, where
+            assert moved.b_hat == rref(out.b_hat @ iso)[0], where
+            out = replace(out, c_hat=sigma(out.c_hat), a_hat=sigma(out.a_hat), h_sub=sigma(out.h_sub))
+        assert dec(sigma(h), sigma(received), d) == out, where
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 3)])
@@ -688,11 +702,11 @@ def _gauss_jordan(ctx: ExtField, work: list[list[int]], cols: int) -> list[int]:
 
 
 @st.composite
-def echelon_cases(draw):
-    """(M, C) over a tabled or untabled field, with 0-5 rows, 0-6 columns and
-    0-4 carried columns: M, a MatQ or a MatQm, is random, square, tall, wide,
+def echelon_cases(draw, fields=ORACLE_FIELDS):
+    """(M, C) over one of `fields`, with 0-5 rows, 0-6 columns and 0-4
+    carried columns: M, a MatQ or a MatQm, is random, square, tall, wide,
     zero, has a zero column, or has a last row that combines two others."""
-    ctx = draw(st.sampled_from(ORACLE_FIELDS))
+    ctx = draw(st.sampled_from(fields))
     shape = draw(st.sampled_from(["random", "square", "tall", "wide", "zero", "zero column", "deficient"]))
     if shape == "tall":
         rows = draw(st.integers(1, 5))
@@ -757,11 +771,19 @@ def test_two_passes_match_gauss_jordan(case):
         assert (t_hat, h_sub) == (rank, block(carried, rank, rows, 0, other.cols))
         check_echelon_blocks(other, mat, r_top, top)
 
-    # The same eliminations over the equal field without tables, where every
-    # product and sum takes the raw-arithmetic branch of the row kernels.
+
+@PROPERTY
+@given(echelon_cases([ctx for ctx in ORACLE_FIELDS if ctx._log is not None]))
+def test_elimination_does_not_depend_on_the_arithmetic_regime(case):
+    # The same eliminations over a tabled field and over the equal field
+    # without tables, where every product and sum takes the raw-arithmetic
+    # branch of the row kernels.
+    mat, other = case
+    ctx, cols = mat.ctx, mat.cols
+
     def eliminate(field):
         lhs, rhs = type(mat)(field, mat.data, cols), MatQm(field, other.data, other.cols)
-        k = min(rows, cols)
+        k = min(mat.rows, cols)
         try:
             solved = solve_right(block(lhs, 0, k, 0, k), block(rhs, 0, k, 0, rhs.cols))
         except RankDeficientError as exc:
